@@ -13,7 +13,10 @@ Five cooperating pieces
 * :mod:`repro.store.index` — :class:`StructuralIndex`: label index, child
   index and the pre/post-order interval index that turns descendant steps
   into interval containment; exact annotated navigation via multiplicity
-  counting over precomputed root-to-node prefix products.
+  counting over precomputed root-to-node prefix products.  A stored
+  document is a :class:`DocumentIndex` over one :class:`MemberBlock` (the
+  member's columns and their index) per top-level member, so an update
+  shreds and indexes only the members it touches.
 * :mod:`repro.store.pushdown` — :func:`split_navigation` /
   :class:`PushdownExecutor`: statically recognize the step-chain prefix of a
   prepared plan, serve it from the indexes, and evaluate only the residual
@@ -46,7 +49,7 @@ ingest|query|update|compact|stats``.
 from repro.errors import IntegrityError, StoreError
 from repro.store.columns import ShreddedColumns
 from repro.store.fsck import FsckReport, fsck_store, verify_artifacts
-from repro.store.index import StructuralIndex
+from repro.store.index import DocumentIndex, MemberBlock, StructuralIndex
 from repro.store.pushdown import (
     NAV_VAR,
     NavigationSplit,
@@ -65,6 +68,8 @@ __all__ = [
     "fsck_store",
     "verify_artifacts",
     "StructuralIndex",
+    "DocumentIndex",
+    "MemberBlock",
     "NAV_VAR",
     "NavigationSplit",
     "PushdownExecutor",

@@ -13,7 +13,13 @@ meaningful.
 Rows appear in per-member pre-order and node identifiers are allocated
 sequentially along that order, so the rows below a node form a contiguous
 ``nid`` interval — the invariant the pre/post-order interval index of
-:mod:`repro.store.index` turns descendant steps into.
+:mod:`repro.store.index` turns descendant steps into.  The same layout makes
+a document's columns the concatenation of its members' columns: each
+top-level member starts at a ``ROOT_PID`` row, and its rows, renumbered from
+``1``, are exactly the shredding of that member alone.
+:meth:`ShreddedColumns.split_members` and :meth:`ShreddedColumns.concat`
+convert between the two forms, which is how the store keeps one block per
+member yet reads and writes flat columns.
 
 The module also hosts the value codec used by the WAL and snapshots:
 annotations (and delta member trees) are arbitrary immutable Python values,
@@ -28,12 +34,12 @@ from __future__ import annotations
 
 import base64
 import pickle
-from typing import Any, Mapping, Tuple
+from typing import Any, Mapping, Sequence, Tuple
 
 from repro.errors import StoreError
 from repro.kcollections.kset import KSet
 from repro.semirings.base import Semiring
-from repro.shredding.shred import EdgeFacts, shred_forest, unshred
+from repro.shredding.shred import ROOT_PID, EdgeFacts, shred_forest, unshred
 
 __all__ = ["ShreddedColumns", "encode_obj", "decode_obj"]
 
@@ -93,6 +99,55 @@ class ShreddedColumns:
             label.append(name)
             annot.append(annotation)
         return cls(semiring, tuple(pid), tuple(nid), tuple(label), tuple(annot))
+
+    @classmethod
+    def concat(cls, semiring: Semiring, parts: Sequence["ShreddedColumns"]) -> "ShreddedColumns":
+        """Lay member columns (local ids ``1..n`` each) end to end.
+
+        Each part's ids are shifted past the rows before it, so concatenating
+        the canonically ordered members of a forest reproduces
+        :meth:`from_forest` of the whole forest row for row.
+        """
+        pid: list = []
+        nid: list = []
+        label: list = []
+        annot: list = []
+        offset = 0
+        for part in parts:
+            pid.extend(parent if parent == ROOT_PID else parent + offset for parent in part.pid)
+            nid.extend(node + offset for node in part.nid)
+            label.extend(part.label)
+            annot.extend(part.annot)
+            offset += len(part)
+        return cls(semiring, tuple(pid), tuple(nid), tuple(label), tuple(annot))
+
+    def split_members(self) -> list["ShreddedColumns"]:
+        """Cut the rows at each ``ROOT_PID`` row into per-member columns.
+
+        The inverse of :meth:`concat`: each part's ids are shifted so its
+        root is ``1``.  Rows are not otherwise checked here; indexing a part
+        rejects ids that are not its member's dense pre-order.
+        """
+        starts = [row for row, parent in enumerate(self.pid) if parent == ROOT_PID]
+        if self.pid and (not starts or starts[0] != 0):
+            raise StoreError(
+                f"row for node {self.nid[0]!r} precedes every top-level row "
+                "(columns are not in shredding order)"
+            )
+        parts = []
+        for start, stop in zip(starts, starts[1:] + [len(self.pid)]):
+            try:
+                offset = self.nid[start] - 1
+                pid = (ROOT_PID,) + tuple(parent - offset for parent in self.pid[start + 1 : stop])
+                nid = tuple(node - offset for node in self.nid[start:stop])
+            except TypeError:
+                raise StoreError("node ids must be integers") from None
+            parts.append(
+                ShreddedColumns(
+                    self.semiring, pid, nid, self.label[start:stop], self.annot[start:stop]
+                )
+            )
+        return parts
 
     # --------------------------------------------------------------- accessors
     def __len__(self) -> int:

@@ -1,8 +1,7 @@
 """Structural indexes over shredded columns: navigation as lookups.
 
-Built once per ingested document, three indexes turn the XPath step
-semantics of Section 7 into dictionary and interval operations instead of
-tree walks or Datalog fixpoints:
+Three indexes turn the XPath step semantics of Section 7 into dictionary
+and interval operations instead of tree walks or Datalog fixpoints:
 
 * the **label index** ``label -> sorted nids`` (and the sorted list of all
   nids for the wildcard test);
@@ -31,6 +30,17 @@ registry semiring.
 The index also materializes every node's subtree as a shared
 :class:`~repro.uxml.tree.UTree` (built bottom-up in one pass), so producing
 a navigation result costs only the matched nodes, not a document walk.
+
+A stored document is indexed **per member**: its top-level (tree,
+annotation) members are disjoint trees, so each is kept as a
+:class:`MemberBlock` — its own columns with local node ids and a
+:class:`StructuralIndex` over them — and a :class:`DocumentIndex` over the
+blocks, in :func:`~repro.shredding.shred.canonical_member_key` order,
+answers for the document.  Navigation runs the frontier code once per block
+(skipping blocks that lack a label the chain tests) and sums the blocks'
+results, which is exactly the flat index's answer: every witnessing path
+stays inside one member.  An update replaces only the blocks of the members
+it touches, so a one-tree edit costs one member's shredding and indexing.
 """
 
 from __future__ import annotations
@@ -41,12 +51,12 @@ from typing import Any, Dict, List, Sequence, Tuple
 from repro.errors import StoreError
 from repro.kcollections.kset import KSet
 from repro.semirings.base import Semiring
-from repro.shredding.shred import ROOT_PID
+from repro.shredding.shred import ROOT_PID, canonical_member_key
 from repro.store.columns import ShreddedColumns
 from repro.uxml.tree import UTree
 from repro.uxquery.ast import Step
 
-__all__ = ["StructuralIndex"]
+__all__ = ["StructuralIndex", "MemberBlock", "DocumentIndex"]
 
 #: Axes servable from the structural indexes (the downward fragment).
 SUPPORTED_AXES = ("self", "child", "descendant", "descendant-or-self")
@@ -55,7 +65,7 @@ WILDCARD = "*"
 
 
 class StructuralIndex:
-    """Label, child and pre/post-order interval indexes over one document."""
+    """Label, child and pre/post-order interval indexes over one set of columns."""
 
     __slots__ = (
         "semiring",
@@ -81,7 +91,10 @@ class StructuralIndex:
     #: workload repeats a handful of hot chains).
     NAV_CACHE_SIZE = 64
 
-    def __init__(self, columns: ShreddedColumns):
+    def __init__(self, columns: ShreddedColumns, intern: Dict[UTree, UTree] | None = None):
+        """Index ``columns``; ``intern`` is a subtree-value table to share
+        with other indexes (the blocks of one document), so equal subtrees
+        of different blocks are one object too."""
         self.semiring = columns.semiring
         self.columns = columns
         semiring = self.semiring
@@ -136,7 +149,8 @@ class StructuralIndex:
         subtree_end: Dict[Any, Any] = {}
         subtree_size: Dict[Any, int] = {}
         trees: Dict[Any, UTree] = {}
-        intern: Dict[UTree, UTree] = {}
+        if intern is None:
+            intern = {}
         for nid in reversed(order):
             end = subtree_end.setdefault(nid, nid)
             size = 1 + sum(subtree_size[child] for child in children_of.get(nid, ()))
@@ -189,15 +203,16 @@ class StructuralIndex:
         cached = self._forest
         if cached is None:
             members = [(self.trees[nid], self.annot_of[nid]) for nid in self.roots]
-            if self.semiring.ops_preserve_normal_form:
-                cached = KSet._accumulate_normalized(self.semiring, members)
-            else:
-                cached = KSet(self.semiring, members)
+            cached = KSet._accumulate_normalized(self.semiring, members)
             self._forest = cached
         return cached
 
     def node_count(self) -> int:
         return len(self.all_nids)
+
+    def labels(self) -> frozenset:
+        """The distinct node labels."""
+        return frozenset(self.label_to_nids)
 
     # ------------------------------------------------------------- navigation
     def navigate(self, steps: Sequence[Step], use_cache: bool = True) -> KSet:
@@ -208,10 +223,10 @@ class StructuralIndex:
         each annotated with the sum over witnessing paths of the path
         products.  An empty chain returns the whole document.
 
-        Results are memoized per chain: the index is immutable (the store
-        rebuilds it on update), so cached navigation never goes stale.
-        ``use_cache=False`` bypasses the memo (benchmarks measuring the raw
-        index path).
+        Results are memoized per chain: an index never changes (an update
+        gives the document a new index object with a fresh memo), so cached
+        navigation never goes stale.  ``use_cache=False`` bypasses the memo
+        (benchmarks measuring the raw index path).
         """
         key = tuple(steps)
         if use_cache:
@@ -220,15 +235,20 @@ class StructuralIndex:
                 self.nav_hits += 1
                 return cached
             self.nav_misses += 1
-        frontier: Dict[Any, int] = {nid: 1 for nid in self.roots}
-        for step in _fuse_steps(steps):
-            if not frontier:
-                break
-            frontier = self._apply_step(frontier, step)
-        result = self._materialize(frontier)
+        pairs = self._navigation_pairs(_fuse_steps(key))
+        result = KSet._accumulate_normalized(self.semiring, pairs)
         if use_cache and len(self._nav_cache) < self.NAV_CACHE_SIZE:
             self._nav_cache[key] = result
         return result
+
+    def _navigation_pairs(self, steps: Sequence[Step]) -> List[Tuple[UTree, Any]]:
+        """The ``(subtree, annotation)`` pairs a fused step chain yields."""
+        frontier: Dict[Any, int] = dict.fromkeys(self.roots, 1)
+        for step in steps:
+            if not frontier:
+                return []
+            frontier = self._apply_step(frontier, step)
+        return self._materialize(frontier)
 
     def _apply_step(self, frontier: Dict[Any, int], step: Step) -> Dict[Any, int]:
         axis, nodetest = step.axis, step.nodetest
@@ -272,7 +292,8 @@ class StructuralIndex:
             f"supported: {SUPPORTED_AXES}"
         )
 
-    def _materialize(self, frontier: Dict[Any, int]) -> KSet:
+    def _materialize(self, frontier: Dict[Any, int]) -> List[Tuple[UTree, Any]]:
+        """The frontier's ``(subtree, annotation)`` pairs, zero products dropped."""
         semiring = self.semiring
         trees = self.trees
         prefix = self.prefix
@@ -287,9 +308,7 @@ class StructuralIndex:
             if semiring.is_zero(annotation):
                 continue  # annihilated path products drop out, as in unshred
             pairs.append((trees[nid], annotation))
-        if semiring.ops_preserve_normal_form:
-            return KSet._accumulate_normalized(semiring, pairs)
-        return KSet(semiring, pairs)
+        return pairs
 
     # ------------------------------------------------------------- statistics
     def count_label(self, label: str) -> int:
@@ -300,6 +319,131 @@ class StructuralIndex:
         return (
             f"<StructuralIndex {len(self.all_nids)} nodes, "
             f"{len(self.label_to_nids)} labels over {self.semiring.name}>"
+        )
+
+
+class MemberBlock:
+    """One top-level ``(tree, annotation)`` member, shredded and indexed alone.
+
+    The columns carry *local* node ids ``1..n`` (the member's root is ``1``,
+    its row the only ``ROOT_PID`` row), so a block never depends on the
+    members before it: the document's flat columns are the blocks'
+    concatenation with nid offsets (:meth:`ShreddedColumns.concat`).  The
+    member's :func:`~repro.shredding.shred.canonical_member_key` orders
+    blocks within a document; it is computed on first use for blocks split
+    from stored columns.
+    """
+
+    __slots__ = ("columns", "index", "tree", "annotation", "size", "_key")
+
+    def __init__(self, columns: ShreddedColumns, intern: Dict[UTree, UTree], key: Any = None):
+        index = StructuralIndex(columns, intern)
+        if len(index.roots) != 1:
+            raise StoreError(
+                f"a member block holds exactly one top-level tree, got {len(index.roots)}"
+            )
+        root = index.roots[0]
+        self.columns = columns
+        self.index = index
+        self.tree: UTree = index.trees[root]
+        self.annotation: Any = index.annot_of[root]
+        self.size = len(columns)
+        self._key = key
+
+    @classmethod
+    def from_member(
+        cls, tree: UTree, annotation: Any, semiring: Semiring, intern: Dict[UTree, UTree]
+    ) -> "MemberBlock":
+        """Shred and index one member."""
+        columns = ShreddedColumns.from_forest(KSet.singleton(semiring, tree, annotation))
+        return cls(columns, intern, canonical_member_key(tree, annotation, semiring))
+
+    @property
+    def key(self) -> Any:
+        """The member's canonical ordering key."""
+        if self._key is None:
+            self._key = canonical_member_key(self.tree, self.annotation, self.index.semiring)
+        return self._key
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"<MemberBlock {self.size} rows, root {self.tree.label!r}>"
+
+
+class DocumentIndex(StructuralIndex):
+    """A document's index: one :class:`StructuralIndex` per member block.
+
+    It offers the public surface of a :class:`StructuralIndex` over the
+    document's flat columns — :meth:`navigate` with its memo and counters,
+    :meth:`forest`, :meth:`node_count`, :meth:`count_label`,
+    :meth:`labels` — but holds no flat maps of its own: navigation sums the
+    per-block answers.  Immutable, like the blocks it shares with the
+    document's earlier and later versions.  ``intern`` is the subtree-value
+    table the blocks were built with; blocks added by an update intern into
+    it too, so the identity fast path of result merging works across
+    blocks.
+    """
+
+    __slots__ = ("blocks", "intern")
+
+    def __init__(
+        self, semiring: Semiring, blocks: Sequence[MemberBlock], intern: Dict[UTree, UTree]
+    ):
+        # Deliberately not StructuralIndex.__init__: the blocks are the index.
+        self.semiring = semiring
+        self.blocks = tuple(blocks)
+        self.intern = intern
+        self._forest: KSet | None = None
+        self._nav_cache: Dict[Tuple[Step, ...], KSet] = {}
+        self.nav_hits = 0
+        self.nav_misses = 0
+
+    # ----------------------------------------------------------------- access
+    def forest(self) -> KSet:
+        """The document as a K-set of trees (cached; equals unshred)."""
+        cached = self._forest
+        if cached is None:
+            members = [(block.tree, block.annotation) for block in self.blocks]
+            cached = KSet._accumulate_normalized(self.semiring, members)
+            self._forest = cached
+        return cached
+
+    def node_count(self) -> int:
+        return sum(block.size for block in self.blocks)
+
+    def count_label(self, label: str) -> int:
+        """How many nodes carry ``label`` (one probe per block)."""
+        return sum(block.index.count_label(label) for block in self.blocks)
+
+    def labels(self) -> frozenset:
+        """The distinct node labels."""
+        return frozenset().union(*(block.index.label_to_nids for block in self.blocks))
+
+    # ------------------------------------------------------------- navigation
+    def _navigation_pairs(self, steps: Sequence[Step]) -> List[Tuple[UTree, Any]]:
+        # A block without some label the chain tests matches nothing.  Only
+        # steps before the first unservable axis count, so a block whose
+        # frontier would reach that step still raises the flat index's error.
+        required = []
+        for step in steps:
+            if step.axis not in SUPPORTED_AXES:
+                break
+            if step.nodetest != WILDCARD:
+                required.append(step.nodetest)
+        pairs: List[Tuple[UTree, Any]] = []
+        for block in self.blocks:
+            index = block.index
+            present = index.label_to_nids
+            for label in required:
+                if label not in present:
+                    break
+            else:
+                pairs.extend(index._navigation_pairs(steps))
+        return pairs
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"<DocumentIndex {len(self.blocks)} blocks, {self.node_count()} nodes "
+            f"over {self.semiring.name}>"
         )
 
 

@@ -2,7 +2,9 @@
 
 One store holds many documents, each kept in shredded columnar form
 (:mod:`repro.store.columns`) behind its structural indexes
-(:mod:`repro.store.index`).  Queries are compiled through a per-store
+(:mod:`repro.store.index`) as one block of columns and indexes per
+top-level member, so an update rebuilds only the members it touches.
+Queries are compiled through a per-store
 :class:`~repro.exec.plan_cache.PlanCache` and served by the navigation
 pushdown (:mod:`repro.store.pushdown`), exactly equal to single-shot
 evaluation; updates are :class:`~repro.ivm.delta.Delta` values applied
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_left
 from pathlib import Path
 from time import perf_counter as _perf
 from typing import Any, Iterable, Mapping, NamedTuple, Optional
@@ -48,8 +51,9 @@ from repro.obs.trace import span
 from repro.resilience.faults import fail_point
 from repro.resilience.limits import EvalLimits
 from repro.semirings.base import Semiring
+from repro.shredding.shred import canonical_member_key
 from repro.store.columns import ShreddedColumns
-from repro.store.index import StructuralIndex
+from repro.store.index import DocumentIndex, MemberBlock
 from repro.store.pushdown import PushdownExecutor
 from repro.store.snapshot import (
     load_snapshot,
@@ -99,21 +103,105 @@ _OPERATION_KINDS = (
 
 
 class StoredDocument:
-    """One ingested document: its columns and the indexes built over them."""
+    """One stored document: a block per top-level member, and their index.
 
-    __slots__ = ("doc_id", "columns", "index")
+    The blocks (:class:`~repro.store.index.MemberBlock`) are kept in
+    :func:`~repro.shredding.shred.canonical_member_key` order, so
+    :attr:`columns` — their concatenation, built on first use — is exactly
+    ``ShreddedColumns.from_forest`` of the document.  Immutable:
+    :meth:`updated` returns a new document that shares every block the
+    delta does not touch.
+    """
+
+    __slots__ = ("doc_id", "index", "_columns", "_keys")
 
     def __init__(self, doc_id: str, columns: ShreddedColumns):
+        """Split flat columns (an ingest, a WAL record, a snapshot) into blocks."""
+        intern: dict = {}
+        blocks = [MemberBlock(part, intern) for part in columns.split_members()]
         self.doc_id = doc_id
-        self.columns = columns
-        self.index = StructuralIndex(columns)
+        self.index = DocumentIndex(columns.semiring, blocks, intern)
+        self._columns: ShreddedColumns | None = columns
+        # Canonical keys of the blocks, checked in order on the first update.
+        self._keys: list | None = None
+
+    @property
+    def columns(self) -> ShreddedColumns:
+        """The document's flat columns (what snapshots and ``fsck`` read)."""
+        if self._columns is None:
+            self._columns = ShreddedColumns.concat(
+                self.index.semiring, [block.columns for block in self.index.blocks]
+            )
+        return self._columns
 
     def forest(self) -> KSet:
         """The document as a K-set of trees (cached on the index)."""
         return self.index.forest()
 
+    def _ordered(self) -> "StoredDocument":
+        """This document with its block keys known to ascend.
+
+        Blocks split from stored columns are trusted to be in canonical
+        order only once their keys are checked; columns that are not (which
+        the store itself never writes) are re-shredded from their forest.
+        """
+        if self._keys is None:
+            keys = [block.key for block in self.index.blocks]
+            if any(left >= right for left, right in zip(keys, keys[1:])):
+                return StoredDocument(
+                    self.doc_id, ShreddedColumns.from_forest(self.forest())
+                )._ordered()
+            self._keys = keys
+        return self
+
+    def updated(self, delta: Delta, forest: KSet) -> "StoredDocument":
+        """The document after ``delta``, whose result ``forest`` is given.
+
+        Only the members ``delta`` touches get new blocks: each old block is
+        found and dropped, each new one bisected into place by its key.
+        """
+        ordered = self._ordered()
+        blocks = list(ordered.index.blocks)
+        keys = list(ordered._keys)
+        intern = ordered.index.intern
+        semiring = forest.semiring
+        before = ordered.forest()
+        changed = [
+            tree
+            for tree in delta.trees()
+            if tree not in before or tree not in forest
+            or before.annotation(tree) != forest.annotation(tree)
+        ]
+        for tree in changed:
+            if tree in before:
+                key = canonical_member_key(tree, before.annotation(tree), semiring)
+                position = bisect_left(keys, key)
+                if position == len(keys) or keys[position] != key:
+                    raise StoreError(f"document {self.doc_id!r} has no block for {tree!r}")
+                del blocks[position]
+                del keys[position]
+        for tree in changed:
+            if tree in forest:
+                block = MemberBlock.from_member(tree, forest.annotation(tree), semiring, intern)
+                position = bisect_left(keys, block.key)
+                blocks.insert(position, block)
+                keys.insert(position, block.key)
+        if len(intern) > 2 * sum(block.size for block in blocks):
+            # Subtrees of dropped members linger in the shared table; keep
+            # only the live blocks' (equal live subtrees are one object).
+            intern = {}
+            for block in blocks:
+                for tree in block.index.trees.values():
+                    intern.setdefault(tree, tree)
+        document = StoredDocument.__new__(StoredDocument)
+        document.doc_id = self.doc_id
+        document.index = DocumentIndex(semiring, blocks, intern)
+        document._columns = None
+        document._keys = keys
+        return document
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<StoredDocument {self.doc_id!r}: {len(self.columns)} rows>"
+        return f"<StoredDocument {self.doc_id!r}: {len(self.index.blocks)} member blocks>"
 
 
 class StoreStats(NamedTuple):
@@ -354,10 +442,11 @@ class DocumentStore:
     def update(self, doc_id: str, delta: Delta) -> KSet:
         """Apply a delta to a stored document; returns the updated forest.
 
-        The delta is journaled, the document is re-shredded into fresh
-        columns and indexes, and every registered view over the document is
-        maintained through its compiled delta plan (recompute fallback per
-        the IVM contract).
+        The delta is journaled; the document gets new member blocks for the
+        members the delta touches (shredded and indexed one member at a
+        time, every other block shared with the previous version); and
+        every registered view over the document is maintained through its
+        compiled delta plan (recompute fallback per the IVM contract).
         """
         if not isinstance(delta, Delta):
             raise StoreError(f"updates are repro.ivm Delta values, got {delta!r}")
@@ -366,29 +455,33 @@ class DocumentStore:
                 f"delta over {delta.semiring.name} cannot update a store "
                 f"over {self.semiring.name}"
             )
-        stored = self.document(doc_id)
-        # Validate applicability before journaling: a rejected delta (e.g. a
-        # deletion with no exact subtraction) must not reach the WAL.
-        new_forest = delta.apply_to(stored.forest())
-        payload = delta_to_payload(delta)
-        payload.update({"op": "update", "doc": doc_id})
-        self._log(payload)
-        fail_point("store.update.apply")
-        self._apply_update(doc_id, delta, new_forest)
-        self._updates += 1
-        self._maybe_autocompact()
+        with span("store.update", doc=doc_id):
+            stored = self.document(doc_id)
+            # Validate applicability before journaling: a rejected delta (e.g.
+            # a deletion with no exact subtraction) must not reach the WAL.
+            with span("store.update.delta"):
+                new_forest = delta.apply_to(stored.forest())
+            with span("store.update.wal"):
+                payload = delta_to_payload(delta)
+                payload.update({"op": "update", "doc": doc_id})
+                self._log(payload)
+            fail_point("store.update.apply")
+            self._apply_update(doc_id, delta, new_forest)
+            self._updates += 1
+            self._maybe_autocompact()
         return self._documents[doc_id].forest()
 
     def _apply_update(self, doc_id: str, delta: Delta, new_forest: KSet | None = None) -> None:
         stored = self._documents[doc_id]
         if new_forest is None:
-            new_forest = delta.apply_to(stored.forest())
-        self._documents[doc_id] = StoredDocument(
-            doc_id, ShreddedColumns.from_forest(new_forest)
-        )
-        for name, record in self._view_records.items():
-            if record["doc"] == doc_id:
-                self._views[name].apply(delta)
+            with span("store.update.delta"):
+                new_forest = delta.apply_to(stored.forest())
+        with span("store.update.blocks"):
+            self._documents[doc_id] = stored.updated(delta, new_forest)
+        with span("store.update.views"):
+            for name, record in self._view_records.items():
+                if record["doc"] == doc_id:
+                    self._views[name].apply(delta)
 
     # ------------------------------------------------------------------- query
     def query(
@@ -573,26 +666,29 @@ class DocumentStore:
 
     def _recover(self) -> None:
         assert self._wal is not None
-        snapshot = load_snapshot(self.directory / _SNAPSHOT_FILE)
-        if snapshot is not None:
-            if snapshot["semiring"] != self.semiring:
-                raise StoreError(
-                    f"snapshot semiring {snapshot['semiring'].name} does not "
-                    f"match store semiring {self.semiring.name}"
-                )
-            for doc_id, columns in snapshot["documents"].items():
-                self._apply_ingest(doc_id, columns)
-            for record in snapshot["views"]:
-                self._apply_view(record)
-            self._snapshot_lsn = snapshot["wal_lsn"]
-            # A reopened (truncated) WAL has no lsn history: resume numbering
-            # after the snapshot's mark, or fresh post-compaction records
-            # would be skipped by the next recovery as already-snapshotted.
-            self._wal.ensure_lsn_after(self._snapshot_lsn)
-        for lsn, record in self._wal.records(after_lsn=self._snapshot_lsn):
-            self._replay(record)
-            self._recovered_records += 1
-            self._appends_since_snapshot += 1
+        with span("store.open.snapshot"):
+            snapshot = load_snapshot(self.directory / _SNAPSHOT_FILE)
+            if snapshot is not None:
+                if snapshot["semiring"] != self.semiring:
+                    raise StoreError(
+                        f"snapshot semiring {snapshot['semiring'].name} does not "
+                        f"match store semiring {self.semiring.name}"
+                    )
+                for doc_id, columns in snapshot["documents"].items():
+                    self._apply_ingest(doc_id, columns)
+                for record in snapshot["views"]:
+                    self._apply_view(record)
+                self._snapshot_lsn = snapshot["wal_lsn"]
+                # A reopened (truncated) WAL has no lsn history: resume
+                # numbering after the snapshot's mark, or fresh post-compaction
+                # records would be skipped by the next recovery as
+                # already-snapshotted.
+                self._wal.ensure_lsn_after(self._snapshot_lsn)
+        with span("store.open.replay"):
+            for lsn, record in self._wal.records(after_lsn=self._snapshot_lsn):
+                self._replay(record)
+                self._recovered_records += 1
+                self._appends_since_snapshot += 1
 
     def _replay(self, record: dict) -> None:
         op = record.get("op")

@@ -50,7 +50,7 @@ class TestStoreCli:
     def test_ingest_creates_store(self, store_dir, document_path, capsys):
         assert _ingest(store_dir, document_path) == 0
         output = capsys.readouterr().out
-        assert "edge rows" in output
+        assert output == "ingested 'doc': 4 edge rows, 3 distinct labels\n"
         reopened = DocumentStore.open(store_dir)
         assert reopened.document_ids() == ["doc"]
 
