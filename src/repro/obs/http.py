@@ -328,8 +328,9 @@ def store_integrity_check(store: Any) -> Callable[[], tuple[bool, str]]:
     """Ready while the store's durable artifacts verify end-to-end.
 
     Runs the light (file-level, side-effect-free) scrub of
-    :func:`repro.store.fsck.verify_artifacts` on each probe: the snapshot
-    envelope checksum plus every WAL record's CRC.  Goes unready — naming
+    :func:`repro.store.fsck.verify_artifacts` on each probe — ``meta.json``,
+    the snapshot envelope checksum and every WAL record's CRC, read by the
+    same readers recovery uses.  Goes unready — naming
     the damaged artifact — as soon as on-disk corruption appears, so an
     orchestrator stops routing to a replica that would refuse (or worse,
     be unable) to recover.  In-memory stores are trivially ready.

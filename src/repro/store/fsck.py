@@ -2,12 +2,18 @@
 
 The store's load paths already *refuse* to serve damaged data (checksummed
 WAL records, checksummed snapshots — see :mod:`repro.store.integrity`);
-this module is the operator's next move: scan every durable artifact,
-report exactly what is damaged, and — with ``repair=True`` — bring the
-directory back to the **maximal salvageable prefix** of its history:
+this module is the operator's next move.  It parses nothing itself: every
+artifact is read through the one reader recovery uses —
+:func:`~repro.store.store.read_meta`, :func:`~repro.store.snapshot.read_snapshot`
+and :func:`~repro.store.wal.scan_wal` — so the scrub flags exactly what
+reopening refuses.  On top of those readers it is policy: report exactly
+what is damaged, check replayability, and — with ``repair=True`` —
+quarantine and salvage, bringing the directory back to the **maximal
+salvageable prefix** of its history:
 
 * a corrupt snapshot is *quarantined* (moved into a ``.quarantine``
-  sidecar, never deleted) so recovery falls back to pure WAL replay;
+  sidecar, never deleted) so recovery falls back to pure WAL replay; one
+  that verifies but has an unsupported format is not damage and stays;
 * a WAL with an invalid record is cut at the longest valid prefix — valid
   means parseable, checksum-correct, lsn-monotone *and replayable* (a
   record referencing a document that no surviving artifact defines is as
@@ -37,18 +43,18 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
-from repro.errors import ReproError
+from repro.errors import ReproError, StoreError
 from repro.obs.events import emit
 from repro.store.columns import ShreddedColumns
-from repro.store.integrity import FSCK_RUNS, column_digest, crc32_text, record_crc
+from repro.store.integrity import FSCK_RUNS, column_digest
+from repro.store.snapshot import SNAPSHOT_FORMAT, SnapshotEnvelope, read_snapshot
+from repro.store.store import _META_FILE, _SNAPSHOT_FILE, _WAL_FILE, DocumentStore, read_meta
+from repro.store.wal import WalScan, scan_wal
 
-__all__ = ["Finding", "FsckReport", "fsck_store", "scan_wal", "verify_artifacts"]
+__all__ = ["Finding", "FsckReport", "fsck_store", "verify_artifacts"]
 
-_META_FILE = "meta.json"
-_WAL_FILE = "wal.jsonl"
-_SNAPSHOT_FILE = "snapshot.json"
 QUARANTINE_SUFFIX = ".quarantine"
 
 
@@ -64,234 +70,111 @@ class Finding(NamedTuple):
         return f"[{self.severity}] {self.artifact}: {self.detail}"
 
 
-class _WalRecord(NamedTuple):
-    lsn: int
-    record: dict
-    line: int
-    start: int  # byte offset of the line in the file
-    end: int    # byte offset just past its newline
+def _snapshot_findings(path: Path, envelope: SnapshotEnvelope) -> List[Finding]:
+    """The snapshot reader's problems as findings, with damage localized.
 
-
-class WalScan(NamedTuple):
-    """Record-level scan of a WAL file (no store semantics applied)."""
-
-    records: List[_WalRecord]  # the longest record-valid prefix
-    valid_bytes: int           # byte length of that prefix
-    total_bytes: int
-    torn_bytes: int            # newline-less tail length (crash residue)
-    v0_records: int            # records predating the checksum format
-    findings: List[Finding]
-    suffix_lsns: List[int]     # lsns parsed best-effort out of the bad suffix
-
-
-def scan_wal(path: Path) -> WalScan:
-    """Scan a WAL file without refusing at the first bad record.
-
-    Unlike :class:`~repro.store.wal.WriteAheadLog` (which raises a typed
-    :class:`IntegrityError` so a *store* never opens over damage), the
-    scrubber wants the full picture: the longest valid prefix, what exactly
-    invalidated the first bad line, and which lsns sit in the unusable
-    suffix.
+    On checksum damage the per-column digests name the exact document and
+    column — possible only while the damaged body still parses.
     """
-    data = path.read_bytes() if path.exists() else b""
-    findings: List[Finding] = []
-    records: List[_WalRecord] = []
-    v0_records = 0
-    position = 0
-    number = 0
-    previous_lsn = 0
-    bad_at: Optional[int] = None
-    torn_bytes = 0
-    while position < len(data):
-        newline = data.find(b"\n", position)
-        if newline == -1:
-            torn_bytes = len(data) - position
-            findings.append(
-                Finding(
-                    "warning",
-                    str(path),
-                    f"torn tail: {torn_bytes} byte(s) with no terminating "
-                    "newline (crash residue; the interrupted append was never "
-                    "acknowledged)",
-                )
-            )
-            break
-        line = data[position:newline]
-        number += 1
-        if line.strip():
-            problem: Optional[str] = None
-            lsn: Optional[int] = None
-            try:
-                record = json.loads(line.decode("utf-8"))
-                if not isinstance(record, dict):
-                    raise ValueError(f"record is not a JSON object: {record!r}")
-                lsn = int(record["lsn"])
-            except (ValueError, KeyError, TypeError, UnicodeDecodeError) as error:
-                problem = f"unparseable record: {error}"
-                record = None
-            if problem is None:
-                if "crc" in record:
-                    expected = record_crc(record)
-                    if record["crc"] != expected:
-                        problem = (
-                            f"CRC32 mismatch for lsn {lsn} (stored "
-                            f"{record['crc']!r}, computed {expected})"
+    findings = [Finding("error", str(path), problem.detail) for problem in envelope.problems]
+    payload = envelope.payload
+    if any(problem.damage for problem in envelope.problems) and payload is not None:
+        digests = payload.get("column_digests", {})
+        for doc_id, columns in sorted(payload.get("documents", {}).items()):
+            for column, values in sorted(columns.items()):
+                stored = digests.get(doc_id, {}).get(column)
+                if stored is not None and column_digest(values) != stored:
+                    findings.append(
+                        Finding(
+                            "error",
+                            str(path),
+                            f"column digest mismatch: document {doc_id!r} "
+                            f"column {column!r}",
                         )
-                else:
-                    v0_records += 1
-                if problem is None and lsn <= previous_lsn:
-                    problem = (
-                        f"lsn {lsn} not greater than preceding lsn "
-                        f"{previous_lsn} (spliced or reordered lines)"
                     )
-            if problem is not None:
-                findings.append(
-                    Finding("error", str(path), f"line {number}: {problem}")
-                )
-                bad_at = position
-                break
-            previous_lsn = lsn
-            clean = dict(record)
-            clean.pop("crc", None)
-            clean.pop("v", None)
-            records.append(_WalRecord(lsn, clean, number, position, newline + 1))
-        position = newline + 1
-    valid_bytes = bad_at if bad_at is not None else position
-    suffix_lsns: List[int] = []
-    if bad_at is not None:
-        # Best-effort: which acknowledged lsns sit in the unusable suffix?
-        for line in data[bad_at:].split(b"\n"):
-            try:
-                candidate = json.loads(line.decode("utf-8"))
-                suffix_lsns.append(int(candidate["lsn"]))
-            except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-                continue
-    if v0_records:
+    elif not envelope.problems and not envelope.verified:
         findings.append(
             Finding(
                 "warning",
                 str(path),
-                f"{v0_records} pre-checksum (v0) record(s) — replayable, but "
+                "format-1 (pre-checksum) snapshot — loads, but carries no "
+                "integrity metadata; compacting rewrites it as format "
+                f"{SNAPSHOT_FORMAT}",
+            )
+        )
+    return findings
+
+
+def _wal_findings(path: Path, scan: WalScan) -> List[Finding]:
+    """The WAL scanner's problem, torn tail and v0 records as findings."""
+    findings = []
+    if scan.problem is not None:
+        findings.append(
+            Finding("error", str(path), f"line {scan.problem.line}: {scan.problem.detail}")
+        )
+    if scan.torn_bytes:
+        findings.append(
+            Finding(
+                "warning",
+                str(path),
+                f"torn tail: {scan.torn_bytes} byte(s) with no terminating "
+                "newline (crash residue; the interrupted append was never "
+                "acknowledged)",
+            )
+        )
+    if scan.v0_records:
+        findings.append(
+            Finding(
+                "warning",
+                str(path),
+                f"{scan.v0_records} pre-checksum (v0) record(s) — replayable, but "
                 "unprotected against bit rot; compacting rewrites history "
                 "into checksummed form",
             )
         )
-    return WalScan(
-        records=records,
-        valid_bytes=valid_bytes,
-        total_bytes=len(data),
-        torn_bytes=torn_bytes,
-        v0_records=v0_records,
-        findings=findings,
-        suffix_lsns=suffix_lsns,
-    )
+    return findings
 
 
-def _snapshot_findings(path: Path) -> Tuple[Optional[dict], List[Finding]]:
-    """Checksum-verify a snapshot file; on damage, localize with digests.
+class _Artifacts(NamedTuple):
+    """Every durable artifact of a directory, read as recovery reads it."""
 
-    Returns ``(payload, findings)`` where ``payload`` is the *parsed body*
-    (not resolved to columns) when the bytes are readable, else ``None``.
-    Verification failures are error findings; a localized digest mismatch
-    names the exact document and column.
-    """
-    from repro.store.snapshot import SNAPSHOT_FORMAT
+    meta_ok: bool
+    snapshot: Optional[SnapshotEnvelope]
+    wal: WalScan
+    findings: List[Finding]
 
+
+def _read_artifacts(directory: Path) -> _Artifacts:
     findings: List[Finding] = []
-    if not path.exists():
-        return None, findings
+    meta_path = directory / _META_FILE
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as error:
-        findings.append(Finding("error", str(path), f"unreadable: {error}"))
-        return None, findings
-    head, newline, body = text.partition("\n")
-    header: Optional[dict] = None
-    if newline:
-        try:
-            candidate = json.loads(head)
-        except ValueError:
-            candidate = None
-        if isinstance(candidate, dict) and "checksum" in candidate:
-            header = candidate
-    if header is None:
-        # Format-1 single-JSON snapshot, or damage that destroyed the header.
-        try:
-            payload = json.loads(text)
-        except ValueError as error:
-            findings.append(
-                Finding("error", str(path), f"unparseable snapshot: {error}")
-            )
-            return None, findings
-        if isinstance(payload, dict) and payload.get("format") == 1:
-            findings.append(
-                Finding(
-                    "warning",
-                    str(path),
-                    "format-1 (pre-checksum) snapshot — loads, but carries no "
-                    "integrity metadata; compacting rewrites it as format "
-                    f"{SNAPSHOT_FORMAT}",
-                )
-            )
-            return payload, findings
-        findings.append(
-            Finding("error", str(path), "not a recognizable snapshot envelope")
-        )
-        return payload if isinstance(payload, dict) else None, findings
-    computed = crc32_text(body)
-    try:
-        payload = json.loads(body)
-    except ValueError:
-        payload = None
-    if computed != header.get("checksum"):
-        findings.append(
-            Finding(
-                "error",
-                str(path),
-                f"whole-file CRC32 mismatch (stored {header.get('checksum')!r}, "
-                f"computed {computed})",
-            )
-        )
-        # Localize: per-column digests name the damaged document/column
-        # (possible only while the body still parses).
-        if isinstance(payload, dict):
-            digests = payload.get("column_digests", {})
-            for doc_id, columns in sorted(payload.get("documents", {}).items()):
-                for column, values in sorted(columns.items()):
-                    stored = digests.get(doc_id, {}).get(column)
-                    if stored is not None and column_digest(values) != stored:
-                        findings.append(
-                            Finding(
-                                "error",
-                                str(path),
-                                f"column digest mismatch: document {doc_id!r} "
-                                f"column {column!r}",
-                            )
-                        )
-        return payload if isinstance(payload, dict) else None, findings
-    if not isinstance(payload, dict):
-        findings.append(
-            Finding("error", str(path), "snapshot body is not a JSON object")
-        )
-        return None, findings
-    return payload, findings
+        meta_ok = read_meta(meta_path) is not None
+    except StoreError as error:
+        meta_ok = False
+        findings.append(Finding("error", str(meta_path), str(error)))
+    else:
+        if not meta_ok:
+            findings.append(Finding("error", str(meta_path), "missing store metadata"))
+    snapshot_path = directory / _SNAPSHOT_FILE
+    snapshot = read_snapshot(snapshot_path)
+    if snapshot is not None:
+        findings.extend(_snapshot_findings(snapshot_path, snapshot))
+    wal_path = directory / _WAL_FILE
+    wal = scan_wal(wal_path)
+    findings.extend(_wal_findings(wal_path, wal))
+    return _Artifacts(meta_ok, snapshot, wal, findings)
 
 
 def verify_artifacts(directory: Path | str) -> List[Finding]:
     """Light, side-effect-free artifact verification (the ``/readyz`` probe).
 
-    Checksum-verifies the snapshot envelope and scans every WAL record;
-    returns the findings without raising, quarantining, or bumping the
-    mismatch counters — probes must be repeatable."""
+    Reads ``meta.json``, checksum-verifies the snapshot envelope and scans
+    every WAL record; returns the findings without raising, quarantining,
+    or bumping the mismatch counters — probes must be repeatable."""
     directory = Path(directory)
-    findings: List[Finding] = []
     if not directory.is_dir():
-        findings.append(Finding("error", str(directory), "no store directory"))
-        return findings
-    _, snapshot_findings = _snapshot_findings(directory / _SNAPSHOT_FILE)
-    findings.extend(snapshot_findings)
-    findings.extend(scan_wal(directory / _WAL_FILE).findings)
-    return findings
+        return [Finding("error", str(directory), "no store directory")]
+    return _read_artifacts(directory).findings
 
 
 class FsckReport:
@@ -386,11 +269,12 @@ def _rewrite_file(path: Path, data: bytes) -> None:
 def fsck_store(directory: Path | str, *, repair: bool = False, deep: bool = False) -> FsckReport:
     """Scrub a store directory; with ``repair=True``, salvage what is valid.
 
-    Verification layers, cheapest first:
+    Verification layers, cheapest first (1–3 through the readers recovery
+    uses):
 
     1. ``meta.json`` parses and names a registry semiring;
-    2. the snapshot envelope checksum (plus per-column digest localization
-       when the whole-file check fails);
+    2. the snapshot envelope: checksum and a supported format (plus
+       per-column digest localization when the whole-file check fails);
     3. every WAL record: parseable, CRC-correct, lsn-monotone;
     4. replayability: each post-snapshot record must reference a document
        some surviving artifact defines (a WAL tail orphaned by a corrupt
@@ -412,40 +296,22 @@ def fsck_store(directory: Path | str, *, repair: bool = False, deep: bool = Fals
         FSCK_RUNS.inc(outcome="corrupt")
         return report
 
-    # -- 1: metadata -------------------------------------------------------
-    meta_path = directory / _META_FILE
-    semiring_name: Optional[str] = None
-    if not meta_path.exists():
-        report.add("error", meta_path, "missing store metadata")
-    else:
-        try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            semiring_name = meta["semiring"]
-            from repro.semirings.registry import get_semiring
-
-            get_semiring(semiring_name)
-        except (OSError, ValueError, TypeError) as error:
-            report.add("error", meta_path, f"corrupt store metadata: {error}")
-        except KeyError as error:
-            report.add(
-                "error", meta_path, f"metadata names no registry semiring: {error}"
-            )
-            semiring_name = None
-
-    # -- 2: snapshot -------------------------------------------------------
+    # -- 1-3: metadata, snapshot envelope, WAL records ---------------------
+    artifacts = _read_artifacts(directory)
+    report.findings.extend(artifacts.findings)
     snapshot_path = directory / _SNAPSHOT_FILE
-    snapshot_payload, snapshot_findings = _snapshot_findings(snapshot_path)
-    report.findings.extend(snapshot_findings)
-    snapshot_bad = any(f.severity == "error" for f in snapshot_findings)
-    if snapshot_bad and repair:
+    envelope = artifacts.snapshot
+    damaged = envelope is not None and any(p.damage for p in envelope.problems)
+    # A refused snapshot (checksum-valid, unsupported format) is not damage:
+    # it stays in place, and the documents it defines stay unknown.
+    refused = envelope is not None and bool(envelope.problems) and not damaged
+    if repair and damaged:
         blob = snapshot_path.read_bytes()
         _quarantine_bytes(
             snapshot_path.with_name(snapshot_path.name + QUARANTINE_SUFFIX),
             blob,
             source=snapshot_path.name,
-            reason="; ".join(
-                f.detail for f in snapshot_findings if f.severity == "error"
-            ),
+            reason="; ".join(problem.detail for problem in envelope.problems),
         )
         snapshot_path.unlink()
         report.repairs.append(
@@ -453,29 +319,24 @@ def fsck_store(directory: Path | str, *, repair: bool = False, deep: bool = Fals
             "falls back to WAL replay"
         )
         repaired_artifacts.add(str(snapshot_path))
-        snapshot_payload = None
-        snapshot_bad = False
-    snapshot_usable = snapshot_payload is not None and not snapshot_bad
-    snapshot_lsn = (
-        int(snapshot_payload.get("wal_lsn", 0)) if snapshot_usable else 0
-    )
-    snapshot_docs = (
-        set(snapshot_payload.get("documents", {})) if snapshot_usable else set()
-    )
+        envelope = None
+    snapshot_usable = envelope is not None and not envelope.problems
+    snapshot_lsn = int(envelope.payload.get("wal_lsn", 0)) if snapshot_usable else 0
+    snapshot_docs = set(envelope.payload.get("documents", {})) if snapshot_usable else set()
     report.checked["snapshot_documents"] = len(snapshot_docs)
 
-    # -- 3 + 4: WAL records and replayability ------------------------------
+    # -- 4: replayability --------------------------------------------------
     wal_path = directory / _WAL_FILE
-    scan = scan_wal(wal_path)
-    report.findings.extend(scan.findings)
+    scan = artifacts.wal
     report.checked["wal_records"] = len(scan.records)
     cut_bytes = scan.valid_bytes
     cut_records = len(scan.records)
-    # Replayability: recovery applies records with lsn > snapshot_lsn in
-    # order, tracking which documents exist.  The first inapplicable record
-    # poisons everything after it (order matters for exactly-once replay).
+    # Recovery applies records with lsn > snapshot_lsn in order, tracking
+    # which documents exist.  The first inapplicable record poisons
+    # everything after it (order matters for exactly-once replay).  Behind a
+    # refused snapshot no record can be judged unreplayable.
     known_docs = set(snapshot_docs)
-    for index, entry in enumerate(scan.records):
+    for index, entry in enumerate([] if refused else scan.records):
         if entry.lsn <= snapshot_lsn:
             continue  # pre-compaction leftover: replay skips it
         op = entry.record.get("op")
@@ -567,7 +428,7 @@ def fsck_store(directory: Path | str, *, repair: bool = False, deep: bool = Fals
             for f in report.findings
         ]
     file_errors = [f for f in report.findings if f.severity == "error"]
-    can_open = semiring_name is not None and not file_errors
+    can_open = artifacts.meta_ok and not file_errors
     if can_open and not repair and wal_path.exists() and cut_bytes < wal_total:
         # A torn tail survived the scan as a mere warning, but the normal
         # recovery path would *truncate* it on open — and a no-repair scrub
@@ -581,8 +442,6 @@ def fsck_store(directory: Path | str, *, repair: bool = False, deep: bool = Fals
         )
         can_open = False
     if can_open:
-        from repro.store.store import DocumentStore
-
         try:
             store = DocumentStore.open(directory)
         except ReproError as error:

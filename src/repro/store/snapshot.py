@@ -34,7 +34,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.errors import StoreError
 from repro.obs.trace import span
@@ -46,8 +46,10 @@ from repro.store.integrity import column_digests, crc32_text, integrity_error
 
 __all__ = [
     "SNAPSHOT_FORMAT",
+    "SnapshotEnvelope",
     "semiring_registry_name",
     "write_snapshot",
+    "read_snapshot",
     "load_snapshot",
 ]
 
@@ -159,34 +161,41 @@ def _write_snapshot(
     fail_point("corrupt.snapshot.file", path=str(path))
 
 
-def load_snapshot(path: Path | str, *, verify: bool = True) -> Optional[dict]:
-    """Load a snapshot file into ``{semiring, wal_lsn, documents, views}``.
+class SnapshotProblem(NamedTuple):
+    """Why a snapshot file cannot be served."""
 
-    Returns ``None`` when no snapshot exists.  ``documents`` maps document
-    ids to :class:`ShreddedColumns`; the semiring is resolved through the
-    registry.
+    detail: str
+    damage: bool  # corruption (IntegrityError, quarantinable) vs a refusal
 
-    Format-2 envelopes are checksum-verified (whole-file CRC32, which
-    transitively authenticates the per-column digests and every column
-    byte); a mismatch raises :class:`~repro.errors.IntegrityError` naming
-    the file.  ``verify=False`` skips the checksum — the fsck scrubber uses
-    it to localize damage with the per-column digests, and benchmarks use
-    it as the unverified baseline.  Format-1 (pre-checksum) snapshots load
-    with ``verified: False`` in the result.
+
+class SnapshotEnvelope(NamedTuple):
+    """A snapshot file as read, before its columns are decoded."""
+
+    payload: Optional[dict]  # the parsed body, even when it failed to verify
+    verified: bool           # the whole-file checksum was checked and matched
+    problems: List[SnapshotProblem]
+
+
+def read_snapshot(path: Path, *, verify: bool = True) -> Optional[SnapshotEnvelope]:
+    """Read a snapshot file's envelope: the one parser of its format.
+
+    Returns ``None`` when no snapshot exists.  Pure — no telemetry:
+    :func:`load_snapshot` raises on the first problem, and ``repro fsck``
+    reports every problem (localizing checksum damage with the per-column
+    digests of ``payload``).  ``verify=False`` skips the checksum.  A
+    header-less body is a format-1 (pre-checksum) snapshot; one claiming
+    any later format lost its header to damage.
     """
-    path = Path(path)
-    if not path.exists():
-        return None
     try:
         text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return None
     except OSError as error:
-        raise StoreError(f"cannot read snapshot {path}: {error}") from error
+        return SnapshotEnvelope(None, False, [SnapshotProblem(f"unreadable: {error}", False)])
     except UnicodeDecodeError as error:
-        raise integrity_error(
-            f"snapshot {path}: undecodable bytes: {error}",
-            artifact=str(path),
-            kind="snapshot",
-        ) from error
+        return SnapshotEnvelope(
+            None, False, [SnapshotProblem(f"undecodable bytes: {error}", True)]
+        )
     head, newline, body = text.partition("\n")
     header = None
     if newline:
@@ -196,43 +205,65 @@ def load_snapshot(path: Path | str, *, verify: bool = True) -> Optional[dict]:
             candidate = None
         if isinstance(candidate, dict) and "checksum" in candidate:
             header = candidate
+    problems: List[SnapshotProblem] = []
     verified = False
-    if header is not None:
-        if verify:
-            computed = crc32_text(body)
-            if computed != header.get("checksum"):
-                raise integrity_error(
-                    f"snapshot {path}: whole-file CRC32 mismatch (stored "
-                    f"{header.get('checksum')!r}, computed {computed})",
-                    artifact=str(path),
-                    kind="snapshot",
+    if header is None:
+        body = text
+    elif verify:
+        computed = crc32_text(body)
+        if computed != header.get("checksum"):
+            problems.append(
+                SnapshotProblem(
+                    f"whole-file CRC32 mismatch (stored {header.get('checksum')!r}, "
+                    f"computed {computed})",
+                    True,
                 )
+            )
+        else:
             verified = True
-        try:
-            payload = json.loads(body)
-        except ValueError as error:
-            raise integrity_error(
-                f"snapshot {path}: corrupt body: {error}",
-                artifact=str(path),
-                kind="snapshot",
-            ) from error
-    else:
-        # Either a format-1 (pre-checksum) single-JSON snapshot or damage
-        # severe enough to destroy the envelope header.
-        try:
-            payload = json.loads(text)
-        except ValueError as error:
-            raise integrity_error(
-                f"cannot read snapshot {path}: {error}",
-                artifact=str(path),
-                kind="snapshot",
-            ) from error
-    snapshot_format = payload.get("format") if isinstance(payload, dict) else None
-    if snapshot_format not in (1, SNAPSHOT_FORMAT):
-        format_found = snapshot_format if isinstance(payload, dict) else payload
-        raise StoreError(
-            f"snapshot {path} has unsupported format {format_found!r}"
-        )
+    try:
+        payload = json.loads(body)
+    except ValueError as error:
+        problems.append(SnapshotProblem(f"unparseable snapshot: {error}", True))
+        return SnapshotEnvelope(None, verified, problems)
+    found = payload.get("format") if isinstance(payload, dict) else payload
+    if not problems:
+        if header is None and found == SNAPSHOT_FORMAT:
+            problems.append(
+                SnapshotProblem(f"format-{found} snapshot without its checksum header", True)
+            )
+        elif found not in (1, SNAPSHOT_FORMAT):
+            problems.append(SnapshotProblem(f"unsupported format {found!r}", False))
+    return SnapshotEnvelope(payload if isinstance(payload, dict) else None, verified, problems)
+
+
+def load_snapshot(path: Path | str, *, verify: bool = True) -> Optional[dict]:
+    """Load a snapshot file into ``{semiring, wal_lsn, documents, views}``.
+
+    Returns ``None`` when no snapshot exists.  ``documents`` maps document
+    ids to :class:`ShreddedColumns`; the semiring is resolved through the
+    registry.
+
+    Format-2 envelopes are checksum-verified (whole-file CRC32, which
+    transitively authenticates the per-column digests and every column
+    byte); damage raises :class:`~repro.errors.IntegrityError` naming the
+    file, an unsupported format a plain :class:`~repro.errors.StoreError`.
+    ``verify=False`` skips the checksum — the integrity benchmark's
+    unverified baseline and ``tests/store/test_integrity.py`` use it.
+    Format-1 (pre-checksum) snapshots load with ``verified: False`` in the
+    result.
+    """
+    path = Path(path)
+    envelope = read_snapshot(path, verify=verify)
+    if envelope is None:
+        return None
+    if envelope.problems:
+        problem = envelope.problems[0]
+        message = f"snapshot {path}: {problem.detail}"
+        if problem.damage:
+            raise integrity_error(message, artifact=str(path), kind="snapshot")
+        raise StoreError(message)
+    payload = envelope.payload
     try:
         semiring = get_semiring(payload["semiring"])
     except KeyError:
@@ -247,7 +278,7 @@ def load_snapshot(path: Path | str, *, verify: bool = True) -> Optional[dict]:
         "wal_lsn": int(payload.get("wal_lsn", 0)),
         "documents": documents,
         "views": list(payload.get("views", [])),
-        "format": snapshot_format,
-        "verified": verified,
+        "format": payload["format"],
+        "verified": envelope.verified,
         "column_digests": dict(payload.get("column_digests", {})),
     }

@@ -39,7 +39,7 @@ from pathlib import Path
 from time import perf_counter as _perf
 from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
-from repro.errors import StoreError
+from repro.errors import SemiringError, StoreError
 from repro.exec.plan_cache import PlanCache
 from repro.ivm.delta import Delta
 from repro.ivm.view import MaterializedView
@@ -51,6 +51,7 @@ from repro.obs.trace import span
 from repro.resilience.faults import fail_point
 from repro.resilience.limits import EvalLimits
 from repro.semirings.base import Semiring
+from repro.semirings.registry import get_semiring
 from repro.shredding.shred import canonical_member_key
 from repro.store.columns import ShreddedColumns
 from repro.store.index import DocumentIndex, MemberBlock
@@ -64,7 +65,7 @@ from repro.store.wal import WriteAheadLog, delta_to_payload, payload_to_delta
 from repro.uxquery.ast import Query
 from repro.uxquery.typecheck import FOREST
 
-__all__ = ["StoredDocument", "StoreStats", "DocumentStore"]
+__all__ = ["StoredDocument", "StoreStats", "DocumentStore", "read_meta"]
 
 _META_FILE = "meta.json"
 _WAL_FILE = "wal.jsonl"
@@ -100,6 +101,27 @@ _OPERATION_KINDS = (
     "snapshots",
     "recovered_records",
 )
+
+
+def read_meta(path: Path) -> Optional[tuple[str, Semiring]]:
+    """Read a store's ``meta.json``: the one parser of its format.
+
+    Returns the pinned semiring's registry name and instance, or ``None``
+    when the file does not exist; raises a :class:`StoreError` naming the
+    file when it does not parse or names no registry semiring.
+    """
+    if not path.exists():
+        return None
+    try:
+        name = json.loads(path.read_text(encoding="utf-8"))["semiring"]
+    except (OSError, ValueError, KeyError, TypeError) as error:
+        raise StoreError(f"corrupt store metadata {path}: {error}") from error
+    try:
+        return name, get_semiring(name)
+    except (SemiringError, TypeError) as error:
+        raise StoreError(
+            f"store metadata {path} names no registry semiring: {error}"
+        ) from error
 
 
 class StoredDocument:
@@ -298,15 +320,9 @@ class DocumentStore:
 
         self.directory.mkdir(parents=True, exist_ok=True)
         meta_path = self.directory / _META_FILE
-        if meta_path.exists():
-            try:
-                meta = json.loads(meta_path.read_text(encoding="utf-8"))
-                stored_name = meta["semiring"]
-            except (ValueError, KeyError, TypeError) as error:
-                raise StoreError(f"corrupt store metadata {meta_path}: {error}") from error
-            from repro.semirings.registry import get_semiring
-
-            stored = get_semiring(stored_name)
+        meta = read_meta(meta_path)
+        if meta is not None:
+            stored_name, stored = meta
             if semiring is not None and semiring != stored:
                 raise StoreError(
                     f"store at {self.directory} is over {stored.name}, "

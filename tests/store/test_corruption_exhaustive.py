@@ -219,6 +219,12 @@ class TestCorruptionExhaustive:
             # damage (a truncation / a flipped final newline) and must land
             # exactly on the expected prefix.
             assert recovered == expected
+            # ... and what opens silently must not be an error to the scrub
+            # (torn-tail warnings are allowed).
+            assert not any(
+                f.severity == "error" and f.artifact == str(damaged)
+                for f in detect.findings
+            ), detect.render()
 
         # -- repair converges on the maximal salvageable prefix -----------
         report = fsck_store(directory, repair=True, deep=True)

@@ -25,7 +25,7 @@ from repro.store import (
     write_snapshot,
 )
 from repro.store.columns import ShreddedColumns
-from repro.store.integrity import INTEGRITY_ERRORS, crc32_text, record_crc
+from repro.store.integrity import FSCK_RUNS, INTEGRITY_ERRORS, crc32_text, record_crc
 from repro.store.wal import WAL_RECORD_FORMAT
 from repro.uxml import TreeBuilder
 
@@ -229,6 +229,19 @@ class TestSnapshotEnvelope:
         assert loaded["wal_lsn"] == 99
         assert loaded["verified"] is False
 
+    def test_format2_body_without_its_header_refuses(self, tmp_path):
+        """Only format 1 predates the envelope: a header-less format-2 body
+        cannot be verified, so recovery and fsck both treat it as damage."""
+        path, _ = self._write(tmp_path)
+        path.write_text(path.read_text(encoding="utf-8").split("\n", 1)[1], encoding="utf-8")
+        with pytest.raises(IntegrityError, match="checksum header") as err:
+            load_snapshot(path)
+        assert err.value.artifact == str(path)
+        report = fsck_store(tmp_path)
+        assert any(
+            f.severity == "error" and f.artifact == str(path) for f in report.findings
+        )
+
     def test_format1_snapshot_still_loads(self, tmp_path):
         path, columns = self._write(tmp_path)
         body = path.read_text(encoding="utf-8").split("\n", 1)[1]
@@ -384,3 +397,48 @@ class TestFsckCli:
             ]
         )
         assert code == 0
+
+
+class TestFsckFlagsWhatRecoveryRefuses:
+    """fsck reads each artifact through the reader recovery uses, so a file
+    that refuses the open is a finding on that file, not a scrub abort."""
+
+    def test_unknown_metadata_semiring_is_a_meta_finding(self, tmp_path, capsys):
+        from repro.cli import main
+
+        directory = tmp_path / "s"
+        directory.mkdir()
+        meta_path = directory / "meta.json"
+        meta_path.write_text('{"format": 1, "semiring": "nope"}', encoding="utf-8")
+        with pytest.raises(StoreError, match="meta.json"):
+            DocumentStore.open(directory)
+        before = FSCK_RUNS.value(outcome="corrupt") or 0
+        assert main(["fsck", "--dir", str(directory)]) == 1
+        out = capsys.readouterr().out
+        assert f"[error] {meta_path}: " in out and "CORRUPT" in out
+        assert FSCK_RUNS.value(outcome="corrupt") == before + 1
+        # --repair still reaches WAL salvage past the metadata finding.
+        (directory / "wal.jsonl").write_text("garbage\n", encoding="utf-8")
+        report = fsck_store(directory, repair=True)
+        assert (directory / "wal.jsonl.quarantine").exists()
+        assert report.repairs and not report.ok
+
+    def test_checksum_valid_unsupported_format_blames_the_snapshot(self, tmp_path):
+        store, _ = _build_store(tmp_path / "s", compact=True)
+        del store
+        path = tmp_path / "s" / "snapshot.json"
+        payload = json.loads(path.read_text(encoding="utf-8").split("\n", 1)[1])
+        payload["format"] = 99
+        body = json.dumps(payload, sort_keys=True) + "\n"
+        header = {"format": 2, "algo": "crc32", "checksum": crc32_text(body)}
+        path.write_text(json.dumps(header, sort_keys=True) + "\n" + body, encoding="utf-8")
+        with pytest.raises(StoreError, match="unsupported format") as err:
+            DocumentStore.open(tmp_path / "s")
+        assert not isinstance(err.value, IntegrityError)
+        for repair in (False, True):
+            report = fsck_store(tmp_path / "s", repair=repair)
+            errors = [f for f in report.findings if f.severity == "error"]
+            assert [f.artifact for f in errors] == [str(path)]
+            assert "unsupported format 99" in errors[0].detail
+            # Not damage: --repair leaves the file in place.
+            assert path.exists() and not report.repairs
