@@ -43,7 +43,6 @@ def _case():
     forest = random_forest(NATURAL, num_trees=8, depth=4, fanout=3, seed=17)
     query = standard_query_suite()["child-chain-3"]
     prepared = prepare_query(query, NATURAL, {"S": forest})
-    assert prepared.generated is not None, "codegen unexpectedly declined"
     return prepared, {"S": forest}
 
 
@@ -69,20 +68,20 @@ def _best_interleaved_pair(
 def test_raw_program_baseline(benchmark):
     prepared, env = _case()
     expected = prepared.evaluate(env)
-    answer = benchmark(lambda: prepared.program.evaluate(env))
+    answer = benchmark(lambda: prepared.generated.evaluate(env))
     assert answer == expected
 
 
 def test_instrumented_path_disarmed(benchmark):
     prepared, env = _case()
-    expected = prepared.program.evaluate(env)
+    expected = prepared.generated.evaluate(env)
     answer = benchmark(lambda: prepared.evaluate(env, method="nrc-codegen"))
     assert answer == expected
 
 
 def test_instrumented_path_tracing_armed(benchmark):
     prepared, env = _case()
-    expected = prepared.program.evaluate(env)
+    expected = prepared.generated.evaluate(env)
 
     def run():
         with tracing():
@@ -93,7 +92,7 @@ def test_instrumented_path_tracing_armed(benchmark):
 
 def test_profiled_evaluation(benchmark):
     prepared, env = _case()
-    expected = prepared.program.evaluate(env)
+    expected = prepared.generated.evaluate(env)
 
     def run():
         result, _report = profile_evaluate(prepared, env, method="nrc-codegen")
@@ -112,9 +111,9 @@ def test_disarmed_overhead_within_bound():
 
     assert events.is_recording(), "flight recorder should be armed by default"
     prepared, env = _case()
-    assert prepared.evaluate(env) == prepared.program.evaluate(env)
+    assert prepared.evaluate(env) == prepared.generated.evaluate(env)
     raw, instrumented = _best_interleaved_pair(
-        lambda: prepared.program.evaluate(env),
+        lambda: prepared.generated.evaluate(env),
         lambda: prepared.evaluate(env, method="nrc-codegen"),
     )
     ratio = instrumented / raw if raw else float("inf")
@@ -128,7 +127,7 @@ def test_instrumented_path_qlog_armed(benchmark):
     from repro.obs import qlog
 
     prepared, env = _case()
-    expected = prepared.program.evaluate(env)
+    expected = prepared.generated.evaluate(env)
 
     def run():
         with qlog.recording(True):
@@ -154,9 +153,9 @@ def test_qlog_disarmed_overhead_within_bound():
 
     assert not qlog.is_recording(), "query log should be disarmed by default"
     prepared, env = _case()
-    assert prepared.evaluate(env) == prepared.program.evaluate(env)
+    assert prepared.evaluate(env) == prepared.generated.evaluate(env)
     raw, instrumented = _best_interleaved_pair(
-        lambda: prepared.program.evaluate(env),
+        lambda: prepared.generated.evaluate(env),
         lambda: prepared.evaluate(env, method="nrc-codegen"),
     )
     ratio = instrumented / raw if raw else float("inf")

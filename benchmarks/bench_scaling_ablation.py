@@ -34,9 +34,9 @@ def test_ablation_annotation_domain(benchmark, semiring_name):
     assert answer is not None
 
 
-@pytest.mark.parametrize("method", ["nrc", "nrc-interp", "direct"])
+@pytest.mark.parametrize("method", ["nrc-codegen", "nrc-interp", "direct"])
 def test_ablation_evaluation_strategy(benchmark, method):
-    """Closure-compiled NRC_K + srt vs the Figure 8 interpreter vs the direct
+    """Generated NRC_K + srt vs the Figure 8 interpreter vs the direct
     structural interpreter."""
     forest = _forest_for(NATURAL)
     prepared = prepare_query(descendant_query("a"), NATURAL, {"S": forest})

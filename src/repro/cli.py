@@ -6,7 +6,7 @@ A small front end so the library can be used without writing Python:
 * ``python -m repro query`` — run a K-UXQuery over an annotated XML document;
 * ``python -m repro explain`` — show how a query would execute: the
   simplified NRC_K form and the Python source the codegen evaluator
-  generates for it (or why generation declined and closures serve it);
+  generates for it;
   ``--analyze`` additionally runs the query with per-operator profiling
   and prints wall time and row counts for every operator;
 * ``python -m repro batch`` — run one K-UXQuery over every document in a
@@ -99,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=VALID_METHODS,
         default="nrc-codegen",
-        help="evaluation semantics (nrc-codegen = generated bytecode with "
-        "closure fallback, nrc = closures, nrc-interp = Figure 8 interpreter)",
+        help="evaluation semantics (nrc-codegen = generated bytecode, "
+        "nrc-interp = Figure 8 interpreter, direct = K-UXML interpreter)",
     )
     query.add_argument(
         "--stats", action="store_true", help="print plan-cache statistics after the run"
@@ -127,10 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="show the simplified NRC form and the generated Python source of a query",
         description="Compile QUERY without evaluating it and print each "
         "pipeline stage: the normalized core form, the simplified NRC_K + srt "
-        "plan, and — when the plan lies in the straight-line codegen "
-        "fragment — the specialized Python source the nrc-codegen evaluator "
-        "byte-compiles for it.  When generation declines, the reason is "
-        "printed instead (such plans run on the closure evaluator).",
+        "plan, and the specialized Python source the nrc-codegen evaluator "
+        "byte-compiles for it (structural recursion becomes a memoized "
+        "recursive function).",
     )
     explain.add_argument("--query", "-q", required=True, help="K-UXQuery text, or @file to read it from a file")
     explain.add_argument("--semiring", "-k", default="provenance-polynomials", help="annotation semiring (see `repro semirings`)")
@@ -154,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--annot-attr", default="annot", help="attribute carrying annotations (default: annot)")
     explain.add_argument(
         "--method",
-        choices=("nrc-codegen", "nrc", "nrc-interp"),
+        choices=("nrc-codegen", "nrc-interp"),
         default="nrc-codegen",
         help="evaluation method to profile under --analyze (default: nrc-codegen)",
     )
@@ -173,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=VALID_METHODS,
         default="nrc-codegen",
-        help="evaluation semantics (nrc-codegen = generated bytecode with "
-        "closure fallback, nrc = closures, nrc-interp = Figure 8 interpreter)",
+        help="evaluation semantics (nrc-codegen = generated bytecode, "
+        "nrc-interp = Figure 8 interpreter, direct = K-UXML interpreter)",
     )
     batch.add_argument("--jobs", "-j", type=int, default=1, help="worker threads (default: 1 = inline)")
     batch.add_argument(
@@ -282,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump the flight-recorder event ring as JSONL",
         description="Dump the flight recorder (:mod:`repro.obs.events`): "
         "structured events emitted at operational decision points (worker "
-        "retries and degrades, IVM recompute fallbacks, codegen declines, "
+        "retries and degrades, IVM recompute fallbacks, "
         "pushdown fallbacks, WAL compactions, limit trips, fault "
         "injections).  By default prints this process's in-memory ring; "
         "`--log FILE` reads a JSONL mirror written by another process via "
@@ -722,24 +721,20 @@ def _command_explain(args: argparse.Namespace) -> int:
         print()
         print(report.render())
         return 0
-    if prepared.generated is not None:
+    generated = prepared.generated
+    print(
+        f"evaluator    : nrc-codegen (generated program, "
+        f"{generated._num_slots} frame slot(s))"
+    )
+    if generated.limit_checks:
         print(
-            f"evaluator    : nrc-codegen (generated program, "
-            f"{prepared.generated._num_slots} frame slot(s))"
+            f"limit checks : {generated.limit_checks} guard site(s) in generated "
+            "loops and recursions (armed by --timeout/--max-rows)"
         )
-        checks = prepared.generated.limit_checks
-        if checks:
-            print(
-                f"limit checks : {checks} stride-counted guard site(s) in "
-                "generated loops (armed by --timeout/--max-rows)"
-            )
-        else:
-            print("limit checks : none (no loops in the generated program)")
-        print("generated source:")
-        print(prepared.generated.source.rstrip("\n"))
     else:
-        print("evaluator    : nrc (closure fallback)")
-        print(f"codegen declined: {prepared.codegen_reason}")
+        print("limit checks : none (no loops in the generated program)")
+    print("generated source:")
+    print(generated.source.rstrip("\n"))
     return 0
 
 

@@ -1,12 +1,12 @@
 """Batched evaluation: one prepared query against many documents.
 
-Calling :meth:`PreparedQuery.evaluate` in a loop already reuses the compiled
-closure tree, but every call still rebuilds the frame from the environment
-dict.  :class:`BatchEvaluator` amortizes that too: the constant part of the
+Calling :meth:`PreparedQuery.evaluate` in a loop already reuses the
+generated program, but every call still rebuilds the frame from the
+environment dict.  :class:`BatchEvaluator` amortizes that too: the constant part of the
 environment is materialized **once** into a frame template, and each document
 evaluation copies the template and writes exactly one slot (the document
-variable).  The persistent ``srt`` memo tables of the compiled form are shared
-across the whole batch automatically — recursion results computed for one
+variable).  The persistent ``srt`` memo tables of the generated program are
+shared across the whole batch automatically — recursion results computed for one
 document are reused for structurally identical subtrees of every later
 document.
 
@@ -20,17 +20,16 @@ Two collection shapes are offered:
   instead of per-document public constructors (what the sharded executor
   wants).
 
-The frame-template fast path serves both ``method="nrc-codegen"`` (the
-source-generated program, when the plan has one — the default) and
-``method="nrc"`` (the closure tree): the two program kinds share the frame
-protocol, so one batch call runs **one generated function** across all
-documents and bumps its execution counter in bulk.
+The frame-template fast path serves ``method="nrc-codegen"`` (the default):
+one batch call runs **one generated function** across all documents and
+bumps its execution counter in bulk.  The other methods run the engine once
+per document.
 
 Both accept a ``concurrent.futures`` executor.  Thread pools work on any
-prepared query (compiled programs are reusable and thread-safe: every
+prepared query (generated programs are reusable and thread-safe: every
 evaluation gets a fresh frame).  A :class:`~concurrent.futures.ProcessPoolExecutor`
 is supported for queries over *registry* semirings: workers cannot receive the
-compiled closures, so they re-prepare from the query text through their own
+generated programs, so they re-prepare from the query text through their own
 process-wide plan cache (compile-once per worker process) and receive pickled
 documents.
 
@@ -58,8 +57,7 @@ from time import perf_counter as _perf
 
 from repro.errors import ExecError, SemiringError
 from repro.kcollections.kset import KSet
-from repro.nrc.codegen import CodegenProgram, _ForeignCollection, note_calls
-from repro.nrc.compile_eval import _UNBOUND
+from repro.nrc.codegen import _UNBOUND, _ForeignCollection, note_calls
 from repro.obs import qlog as _qlog
 from repro.obs.events import emit
 from repro.obs.metrics import default_registry
@@ -136,10 +134,10 @@ def infer_document_var(prepared: PreparedQuery) -> str:
     """The variable a batch of documents should be bound to.
 
     Preference order: the unique forest-typed environment variable, then the
-    conventional ``S``, then the unique free variable of the compiled form.
+    conventional ``S``, then the unique free variable of the generated program.
     Ambiguity is an error — pass ``var=`` explicitly.
     """
-    free = set(prepared.compiled.free_variables)
+    free = set(prepared.generated.free_variables)
     forests = sorted(name for name in free if prepared.env_types.get(name) == FOREST)
     if len(forests) == 1:
         return forests[0]
@@ -196,10 +194,10 @@ class BatchEvaluator:
         self.prepared = prepared
         if var is None:
             var = infer_document_var(prepared)
-        elif var not in prepared.compiled.free_variables:
+        elif var not in prepared.generated.free_variables:
             # An unbound document variable would silently evaluate the same
             # constant result once per document.
-            free = sorted(prepared.compiled.free_variables)
+            free = sorted(prepared.generated.free_variables)
             raise ExecError(
                 f"${var} is not a free variable of the query "
                 f"(free variables: {free or 'none'}); documents bound to it "
@@ -213,17 +211,6 @@ class BatchEvaluator:
         self.pool_rebuilds = 0
 
     # ------------------------------------------------------------- execution
-    def _program(self, method: str):
-        """The frame-protocol program serving ``method`` on this plan.
-
-        Delta-plan adapters expose their (possibly generated) program as
-        ``compiled`` without a ``program_for``; fall through to it.
-        """
-        resolver = getattr(self.prepared, "program_for", None)
-        if resolver is not None:
-            return resolver(method)
-        return self.prepared.compiled
-
     def _frame_template(self, program, env: Mapping[str, Any] | None) -> tuple[list, int | None]:
         """The shared frame (constant bindings filled in) and the document slot."""
         template = [_UNBOUND] * program._num_slots
@@ -402,7 +389,7 @@ class BatchEvaluator:
                       pool="process", method=method):
                 return self._process_pool_tasks(executor, documents, env, method, limits)
         guard = limits.start() if limits is not None and limits.is_bounded else None
-        if method not in ("nrc", "nrc-codegen"):
+        if method != "nrc-codegen":
             # The interpreter baselines take plain environment dicts.
             base = dict(env) if env else {}
             base.pop(self.var, None)
@@ -413,7 +400,7 @@ class BatchEvaluator:
                 return self.prepared.evaluate(bindings, method=method)
 
             return self._dispatch_runs(run_interp, documents, executor, guard)
-        program = self._program(method)
+        program = self.prepared.generated
         template, slot = self._frame_template(program, env)
         run = program._run
         base_env = dict(env) if env else {}
@@ -424,19 +411,17 @@ class BatchEvaluator:
                 frame[slot] = document
             try:
                 return run(frame)
-            except _ForeignCollection as foreign:
-                # A foreign-semiring document: only a generated program
-                # raises this, and serve_foreign reruns its closure
-                # fallback (uncounting the call from the bulk bump below).
+            except _ForeignCollection:
+                # A foreign-semiring document: serve_foreign reruns the
+                # interpreter (uncounting the call from the bulk bump below).
                 bindings = dict(base_env)
                 bindings[self.var] = document
-                return program.serve_foreign(foreign, bindings)
+                return program.serve_foreign(bindings)
 
-        if isinstance(program, CodegenProgram):
-            # The template path calls _run directly; account the whole batch
-            # so serving layers can observe generated-program execution.
-            program.calls += len(documents)
-            note_calls(len(documents))
+        # The template path calls _run directly; account the whole batch so
+        # serving layers can observe generated-program execution.
+        program.calls += len(documents)
+        note_calls(len(documents))
         return self._dispatch_runs(run_one, documents, executor, guard)
 
     def evaluate_merged(

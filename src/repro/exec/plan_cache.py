@@ -1,7 +1,7 @@
 """A bounded, thread-safe LRU plan cache in front of :func:`prepare_query`.
 
 Preparation is by far the most expensive step of the pipeline (parse,
-normalize, typecheck, compile to NRC_K + srt, simplify, closure-compile), and
+normalize, typecheck, compile to NRC_K + srt, simplify, generate code), and
 :class:`~repro.uxquery.engine.PreparedQuery` instances are immutable and safe
 to share between threads.  A stateless service that receives query *text* on
 every request therefore wants exactly one data structure: a map from query

@@ -17,7 +17,7 @@ Three cooperating pieces
   :data:`~repro.ivm.derive.LINEAR` (reads only the delta),
   :data:`~repro.ivm.derive.BILINEAR` (also reads the old/new document — the
   self-join shapes) or :data:`~repro.ivm.derive.NON_INCREMENTAL`
-  (recompute), and closure-compiled like every other plan.
+  (recompute), and compiled by codegen like every other plan.
 * :mod:`repro.ivm.view` — :class:`MaterializedView`, a cached K-set result
   plus :meth:`~MaterializedView.apply`: exact maintenance with recompute
   fallback, batched insert streams through :mod:`repro.exec.batch`, and

@@ -35,17 +35,14 @@ plan whose delta needs neither is classified :data:`LINEAR`; needing them is
 :data:`BILINEAR`; underivable plans are :data:`NON_INCREMENTAL`.
 
 The delta expression is itself simplified with the Appendix A axioms and
-compiled **twice**: over the base semiring ``K`` — evaluated directly for
+compiled by the source-codegen evaluator (:mod:`repro.nrc.codegen`), like
+query plans: over the base semiring ``K`` — evaluated directly for
 insert-only deltas, where everything stays in ``K`` — and, lazily, over
 ``Diff(K)`` (:mod:`repro.semirings.diff`) for deltas that also delete or
 re-annotate, where the same program computes insertion and removal weights
-in one pass.  Each compilation goes through the same two-stage pipeline as
-query plans: the source-codegen evaluator (:mod:`repro.nrc.codegen`) when
-the delta expression is straight-line (child-chain and join shapes;
-descendant plans keep their ``srt`` inside the delta and fall back), with
-the closure-compiled form (:mod:`repro.nrc.compile_eval`) as automatic
-fallback, so view maintenance executes generated bytecode whenever the
-plan admits it.
+in one pass.  Codegen is total, so view maintenance always executes
+generated bytecode, descendant plans (whose ``srt`` stays inside the delta)
+included.
 """
 
 from __future__ import annotations
@@ -67,8 +64,7 @@ from repro.nrc.ast import (
     iter_subexpressions,
     substitute,
 )
-from repro.nrc.codegen import CodegenProgram, compile_program
-from repro.nrc.compile_eval import CompiledExpr, compile_expr
+from repro.nrc.codegen import CodegenProgram, compile_codegen
 from repro.nrc.rewrite import simplify
 from repro.semirings.diff import diff_of
 from repro.uxquery.engine import PreparedQuery
@@ -207,10 +203,10 @@ class DeltaPlan:
         self.var = var
         self.semiring = prepared.semiring
         self.delta_expr: Expr | None = None
-        self.compiled: CompiledExpr | None = None
+        #: The delta expression compiled over ``K`` (``None`` when
+        #: non-incremental).
         self.generated: CodegenProgram | None = None
-        self.program: CompiledExpr | CodegenProgram | None = None
-        self._diff_program: CompiledExpr | CodegenProgram | None = None
+        self._diff_program: CodegenProgram | None = None
         self.delta_var = self.old_var = self.new_var = None
         self.needs_old = self.needs_new = False
         self.reason: str | None = None
@@ -231,33 +227,22 @@ class DeltaPlan:
             return
         delta_expr, self.classification, self.delta_var, self.old_var, self.new_var = derivation
         self.delta_expr = simplify(delta_expr, self.semiring)
-        self.compiled = compile_expr(self.delta_expr, self.semiring)
-        # Same two-stage compilation as query plans: generated bytecode when
-        # the delta expression is straight-line, closures as fallback (both
-        # for declined generation and for runtime foreign collections).
-        self.program, self.generated, _ = compile_program(
-            self.delta_expr, self.semiring, self.compiled
-        )
-        free = self.compiled.free_variables
+        self.generated = compile_codegen(self.delta_expr, self.semiring)
+        free = self.generated.free_variables
         self.needs_old = self.old_var in free
         self.needs_new = self.new_var in free
 
     # ------------------------------------------------------------ evaluation
     @property
-    def compiled_diff(self) -> CompiledExpr | CodegenProgram:
+    def compiled_diff(self) -> CodegenProgram:
         """The delta expression compiled over ``Diff(K)`` (built on first use).
 
         Lazy because insert-only workloads never leave the base semiring; a
         benign race at worst compiles the same immutable program twice.
-        Codegen applies here too — ``Diff(K)`` preserves canonical forms
-        whenever ``K`` does — with the closure form as fallback.
         """
         program = self._diff_program
         if program is None:
-            diff = diff_of(self.semiring)
-            program, _, _ = compile_program(
-                self.delta_expr, diff, compile_expr(self.delta_expr, diff)
-            )
+            program = compile_codegen(self.delta_expr, diff_of(self.semiring))
             self._diff_program = program
         return program
 
@@ -280,7 +265,7 @@ class DeltaPlan:
             bindings[self.old_var] = old_document
         if self.needs_new:
             bindings[self.new_var] = new_document
-        return _expect_kset(self.program.evaluate(bindings), self.semiring)
+        return _expect_kset(self.generated.evaluate(bindings), self.semiring)
 
     def evaluate_diff(
         self, diff_forest: KSet, env: Mapping[str, Any] | None = None

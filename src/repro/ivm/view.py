@@ -95,17 +95,16 @@ class ViewStats(NamedTuple):
 class _PreparedDeltaAdapter:
     """Duck-types the ``PreparedQuery`` surface ``BatchEvaluator`` consumes,
     backed by a compiled delta plan (delta K-sets play the documents).
-    ``compiled`` is the plan's *program* — the generated bytecode when the
-    delta expression codegen'd, the closure tree otherwise — so batched
-    maintenance runs the same code the single-delta path runs."""
+    ``generated`` is the plan's generated program, so batched maintenance
+    runs the same code the single-delta path runs."""
 
     def __init__(self, plan: DeltaPlan):
-        self.compiled = plan.program
+        self.generated = plan.generated
         self.semiring = plan.semiring
         self.env_types = {plan.delta_var: FOREST}
 
-    def evaluate(self, env: Mapping[str, Any] | None = None, method: str = "nrc") -> Any:
-        return self.compiled.evaluate(env)
+    def evaluate(self, env: Mapping[str, Any] | None = None) -> Any:
+        return self.generated.evaluate(env)
 
 
 class MaterializedView:
@@ -259,7 +258,7 @@ class MaterializedView:
         batchable = (
             len(deltas) > 1
             and plan.classification == LINEAR
-            and plan.delta_var in plan.compiled.free_variables
+            and plan.delta_var in plan.generated.free_variables
             and all(delta.is_insert_only() for delta in deltas)
         )
         if not batchable:

@@ -3,24 +3,18 @@
 This is the paper's Section 6: the compilation target of K-UXQuery and the
 setting of the commutation-with-homomorphisms theorem (Theorem 1).
 
-Three evaluators implement the Figure 8 semantics and agree on every
+Two evaluators implement the Figure 8 semantics and agree on every
 expression (the equivalence corpus and the differential fuzz suite in
 ``tests/nrc/`` check this for every registry semiring):
 
 * :func:`repro.nrc.eval.evaluate` — the *reference* interpreter, a direct
   transcription of the semantic equations.  Use it when reading the code next
-  to the paper, and as the baseline that every optimization is checked
-  against (``tests/nrc/test_compile_eval_equiv.py``).
-* :func:`repro.nrc.compile_eval.compile_expr` — the closure evaluator:
-  walks the AST once and emits a tree of Python closures with slot-based
-  environments, pre-bound semiring operations and memoized structural
-  recursion.  Total: every expression compiles, including ``srt``.
-* :func:`repro.nrc.codegen.compile_codegen` — the source-codegen evaluator:
-  prints the straight-line fragment as specialized Python source (fused bind
-  loops, inlined semiring scalar ops) and byte-compiles it.  Partial by
-  design — it declines ``srt`` and non-canonical semirings with a recorded
-  reason, and :class:`repro.uxquery.engine.PreparedQuery` falls back to the
-  closure evaluator automatically.
+  to the paper, and as the oracle that the production evaluator is checked
+  against (``tests/nrc/test_evaluator_equiv.py``).
+* :func:`repro.nrc.codegen.compile_codegen` — the production evaluator:
+  prints the expression as specialized Python source (fused bind loops,
+  inlined semiring scalar ops, ``srt`` as a memoized recursive function) and
+  byte-compiles it.  Total: every expression over every semiring compiles.
 """
 
 from repro.nrc.ast import (
@@ -60,13 +54,7 @@ from repro.nrc.builders import (
     union_all,
     value_to_tuple,
 )
-from repro.nrc.codegen import (
-    CodegenProgram,
-    CodegenUnsupported,
-    compile_codegen,
-    try_compile_codegen,
-)
-from repro.nrc.compile_eval import CompiledExpr, compile_expr, evaluate_compiled
+from repro.nrc.codegen import CodegenProgram, compile_codegen
 from repro.nrc.eval import evaluate
 from repro.nrc.rewrite import count_nodes, map_scalars, rewrite_once, simplify
 from repro.nrc.typecheck import typecheck
@@ -125,13 +113,8 @@ __all__ = [
     "value_to_str",
     # evaluation / typing / rewriting
     "evaluate",
-    "CompiledExpr",
-    "compile_expr",
-    "evaluate_compiled",
     "CodegenProgram",
-    "CodegenUnsupported",
     "compile_codegen",
-    "try_compile_codegen",
     "typecheck",
     "simplify",
     "rewrite_once",

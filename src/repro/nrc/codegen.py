@@ -1,12 +1,10 @@
-"""Source-codegen evaluator for straight-line NRC_K (compile to real bytecode).
+"""Source-codegen evaluator for NRC_K + srt (compile to real bytecode).
 
-The closure-compiled evaluator (:mod:`repro.nrc.compile_eval`) resolves AST
-dispatch at compile time, but every node is still an indirect Python call,
-every ``add``/``mul`` a method invocation, and every binder a frame-slot
-write.  For the straight-line fragment of the calculus — everything except
-``srt`` structural recursion — none of that indirection is necessary: the
-expression can be *printed as specialized Python source* and compiled to real
-bytecode with :func:`compile`/``exec``:
+The production evaluator.  :mod:`repro.nrc.eval` transcribes the Figure 8
+equations literally and pays an ``isinstance`` dispatch chain and an
+environment copy per node; here the expression is walked **once** and
+*printed as specialized Python source*, then compiled to real bytecode with
+:func:`compile`/``exec``:
 
 * **bind chains fuse into nested ``for`` loops** over the normalized
   ``KSet._items`` dicts, accumulating contributions straight into one dict
@@ -17,45 +15,58 @@ bytecode with :func:`compile`/``exec``:
   op templates (:attr:`~repro.semirings.base.Semiring.codegen_add` /
   ``codegen_mul``: ``+``/``*`` for ``N``, ``or``/``and`` for ``B``, tropical
   ``min``/``+``, set union for ``Why(X)``); semirings without templates get
-  the pre-bound ``add``/``mul`` calls, which still beats closure dispatch;
+  pre-bound ``add``/``mul`` calls;
 * **annotation weights thread through the loops**: the product of the
-  enclosing binder annotations is maintained incrementally (one
-  multiplication per outer member instead of one per contribution), with the
-  closure evaluator's ``one``-skip so all-unit documents never multiply;
+  enclosing binder annotations is maintained incrementally (at most one
+  multiplication per outer member instead of one per contribution, and with
+  an out-of-line ``mul`` none for members that contribute nothing), with a
+  ``one``-skip so all-unit documents never multiply;
+* **variables become Python locals**: binders name generated locals, and
+  only the free variables are read from a flat per-call frame;
 * **type guards compile to class-identity checks** (``x.__class__ is not
-  KSet``) that fall back to the shared ``isinstance``-based helpers — free
-  when values are well-typed, identical errors when they are not.
+  KSet``) that fall back to ``isinstance``-based helpers — free when values
+  are well-typed, the interpreter's errors when they are not;
+* **structural recursion is a generated recursive function**, memoized per
+  (hashable, immutable) :class:`~repro.uxml.tree.UTree` subtree, so
+  recursion over shared or repeated subtrees is linear in the number of
+  *distinct* subtrees.  When the ``srt`` body is closed (no free variables
+  besides its label and accumulator binders) the result is a function of
+  the subtree alone, and the memo persists across evaluations (cleared past
+  :data:`_SRT_MEMO_LIMIT` entries); an open body gets a fresh memo per
+  application.  Every newly visited node makes one cooperative limit check.
 
-Exactness: the generated program computes the same sums of products as the
-closure evaluator, re-associated by the semiring axioms that every shipped
-semiring satisfies exactly on its canonical representatives (the same premise
-the Appendix A simplifier, the shard merger and the IVM delta plans already
-stand on).  The differential fuzz suite (``tests/nrc/test_codegen_fuzz.py``)
-and the equivalence corpus assert ``nrc-codegen == nrc == nrc-interp`` for
-every registry semiring.
+Coverage is total: every expression over every semiring compiles.  The
+generated program computes the same sums of products as the interpreter,
+re-associated by the semiring axioms that every shipped semiring satisfies
+exactly on its canonical representatives (the premise the Appendix A
+simplifier and the IVM delta plans also stand on).  The edge cases are
+emitted conservatively: a semiring whose operations do not preserve
+canonical form (``ops_preserve_normal_form = False``) gets results built by
+the defensive ``KSet(...)`` constructor, the trivial semiring (``1 == 0``)
+turns every singleton into the empty collection, and a ``Scale`` scalar
+foreign to the compile-time semiring becomes a bound ``collection.scale``
+call.  A collection over a *different* semiring reaching a generated loop
+at run time is the one shape the program does not reproduce inline: it
+reruns the Figure 8 interpreter on the same plan, which defines that
+behaviour (big unions bind in the collection's own semiring, unions raise).
 
-Coverage is *total within the straight-line fragment*: generation declines —
-it never errors — with a recorded reason when the expression contains ``srt``
-(the result of recursion is not a straight-line loop nest), when the semiring
-does not preserve canonical forms under its operations (the trusted
-constructors would be unsound), when the semiring is trivial (``1 == 0``), or
-when a ``Scale`` scalar is foreign to the compile-time semiring.  Callers
-(:class:`repro.uxquery.engine.PreparedQuery`, the IVM delta plans) fall back
-to the closure evaluator, so ``method="nrc-codegen"`` is always safe.
+The equivalence corpus (``tests/nrc/test_evaluator_equiv.py``) and the
+differential fuzz suite (``tests/nrc/test_codegen_fuzz.py``) assert
+``nrc-codegen == nrc-interp`` for every registry semiring.
 
 Usage::
 
     from repro.nrc.codegen import compile_codegen
 
-    program = compile_codegen(expr, semiring)      # raises CodegenUnsupported
-    value = program.evaluate({"S": source})        # same contract as closures
+    program = compile_codegen(expr, semiring)      # once
+    value = program.evaluate({"S": source})        # many times
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Mapping
 
-from repro.errors import AnnotationError, NRCEvalError, SemiringError
+from repro.errors import AnnotationError, NRCEvalError
 from repro.kcollections.kset import KSet
 from repro.nrc.ast import (
     BigUnion,
@@ -74,58 +85,43 @@ from repro.nrc.ast import (
     TreeExpr,
     Union,
     Var,
+    free_variables,
 )
-from repro.nrc.compile_eval import _UNBOUND, _expect_kset, _expect_tree
+from repro.nrc.eval import _expect_kset, _expect_tree
+from repro.nrc.eval import evaluate as _evaluate_reference
 from repro.nrc.values import Pair
-from repro.obs.events import emit
 from repro.obs.metrics import default_registry
 from repro.resilience.limits import check_tick
 from repro.semirings.base import Semiring
 from repro.uxml.tree import UTree
 
 __all__ = [
-    "CodegenUnsupported",
     "CodegenProgram",
     "compile_codegen",
-    "try_compile_codegen",
-    "compile_program",
     "generate_source",
     "codegen_stats",
 ]
 
+#: Sentinel stored in frame slots that have not been bound yet.
+_UNBOUND = object()
 
-class CodegenUnsupported(Exception):
-    """Raised when an expression is outside the codegen fragment.
-
-    The message is the human-readable reason surfaced by ``repro explain``;
-    callers catching it fall back to the closure evaluator.
-    """
+#: Cap on a persistent (cross-evaluation) srt memo table before it is reset.
+_SRT_MEMO_LIMIT = 65536
 
 
 class _ForeignCollection(Exception):
     """Internal: a runtime K-set over a different semiring reached a loop.
 
-    The closure evaluator has bespoke behavior for foreign collections
-    (big unions delegate to the collection's own semiring; unions raise), so
-    a generated program does not try to reproduce it inline: it bails out,
-    and :meth:`CodegenProgram.evaluate` re-runs the *fallback* closure
-    program — exact parity at zero cost on the same-semiring path.
+    The generated program bails out and :meth:`CodegenProgram.evaluate`
+    reruns the Figure 8 interpreter on the same plan — exact parity at zero
+    cost on the same-semiring path.
     """
 
-    def __init__(self, expected: str, actual: str):
-        super().__init__(expected, actual)
-        self.expected = expected
-        self.actual = actual
 
-
-#: Module-wide generation counters, published in the process metrics
+#: Module-wide generation counter, published in the process metrics
 #: registry (compilation is cold, so a lock per bump is immaterial).
 _GENERATED_COUNTER = default_registry().counter(
     "repro_codegen_generated_total", "NRC programs compiled to specialized bytecode"
-)
-_DECLINED_COUNTER = default_registry().counter(
-    "repro_codegen_declined_total",
-    "NRC programs outside the codegen fragment (served by closures)",
 )
 
 #: Total evaluations served by generated code across every program.  The
@@ -151,30 +147,28 @@ default_registry().register_collector("codegen", _collect_codegen)
 
 
 def codegen_stats() -> dict[str, int]:
-    """A snapshot of how many programs were generated vs declined.
+    """A snapshot of how many programs were generated.
 
-    A thin read of the metrics-registry counters (the canonical surface
+    A thin read of the metrics-registry counter (the canonical surface
     since the observability layer landed).
     """
-    return {
-        "generated": int(_GENERATED_COUNTER.value()),
-        "declined": int(_DECLINED_COUNTER.value()),
-    }
+    return {"generated": int(_GENERATED_COUNTER.value())}
 
 
 class CodegenProgram:
-    """A straight-line NRC expression compiled to specialized Python bytecode.
+    """An NRC_K + srt expression compiled to specialized Python bytecode.
 
-    Exposes the same evaluation contract (and the same internal frame
-    protocol — ``_run``/``_free_slots``/``_num_slots``) as
-    :class:`~repro.nrc.compile_eval.CompiledExpr`, so the batch evaluator's
-    frame-template fast path works on either program kind.  ``calls`` counts
-    evaluations (bumped in bulk by the batch path) so every serving layer can
-    observe that generated code, not closures, did the work.
+    Immutable apart from its counters, reusable and safe to evaluate
+    concurrently: every :meth:`evaluate` call allocates a fresh frame for
+    the free-variable slots (``_run``/``_free_slots``/``_num_slots`` — the
+    frame protocol the batch evaluator's template fast path drives
+    directly).  ``calls`` counts evaluations (bumped in bulk by the batch
+    path) so every serving layer can observe that generated code did the
+    work.
     """
 
     __slots__ = ("expr", "semiring", "source", "_run", "_free_slots", "_num_slots",
-                 "calls", "fallback", "limit_checks")
+                 "calls", "limit_checks")
 
     def __init__(self, expr: Expr, semiring: Semiring, source: str,
                  run: Callable[[list], Any], free_slots: dict[str, int], num_slots: int):
@@ -185,16 +179,13 @@ class CodegenProgram:
         self._free_slots = free_slots
         self._num_slots = num_slots
         #: Evaluations served by the generated code (foreign-collection
-        #: evaluations that fell back to closures are excluded).  A plain
-        #: int updated without a lock: approximate under heavy concurrency,
+        #: evaluations rerun by the interpreter are excluded).  A plain int
+        #: updated without a lock: approximate under heavy concurrency,
         #: which is fine for an observability counter.
         self.calls = 0
-        #: The closure program re-run when a runtime collection is foreign to
-        #: the compile-time semiring (set by the engine / delta plans; a
-        #: standalone program raises :class:`SemiringError` instead).
-        self.fallback: Any | None = None
         #: Number of generated fold loops carrying a stride-counted
-        #: EvalLimits check (``repro explain`` reports it).
+        #: EvalLimits check, plus one per generated srt recursion (``repro
+        #: explain`` reports it).
         self.limit_checks = source.count("_TICK(")
 
     @property
@@ -205,9 +196,9 @@ class CodegenProgram:
     def evaluate(self, env: Mapping[str, Any] | None = None) -> Any:
         """Evaluate the generated program in the given environment.
 
-        Same contract as :meth:`CompiledExpr.evaluate`: unused entries are
-        ignored, and referencing a free variable the environment does not
-        bind raises :class:`NRCEvalError` when the reference is reached.
+        Unused environment entries are ignored; referencing a free variable
+        that ``env`` does not bind raises :class:`NRCEvalError` exactly when
+        the reference is reached (as in the interpreter).
         """
         frame = [_UNBOUND] * self._num_slots
         if env:
@@ -219,29 +210,21 @@ class CodegenProgram:
         _TOTAL_CALLS[0] += 1
         try:
             return self._run(frame)
-        except _ForeignCollection as foreign:
-            return self.serve_foreign(foreign, env)
+        except _ForeignCollection:
+            return self.serve_foreign(env)
 
     __call__ = evaluate
 
-    def serve_foreign(self, foreign: _ForeignCollection, env: Mapping[str, Any] | None) -> Any:
+    def serve_foreign(self, env: Mapping[str, Any] | None) -> Any:
         """Serve an evaluation that hit a foreign-semiring collection.
 
-        The closure evaluator defines the behavior (big unions delegate to
-        the collection's semiring, unions raise), so the :attr:`fallback`
-        program is rerun when one is attached; a standalone program raises
-        :class:`SemiringError` like the K-set algebra would.  Either way the
-        call is taken back out of :attr:`calls` — generated code did not
-        serve it.  Shared by :meth:`evaluate` and the batch template path.
+        Reruns the Figure 8 interpreter on the plan, and takes the call back
+        out of :attr:`calls` — generated code did not serve it.  Shared by
+        :meth:`evaluate` and the batch template path.
         """
         self.calls -= 1
         _TOTAL_CALLS[0] -= 1
-        if self.fallback is not None:
-            return self.fallback.evaluate(env)
-        raise SemiringError(
-            f"cannot combine K-sets over different semirings "
-            f"({foreign.expected} vs {foreign.actual})"
-        ) from None
+        return _evaluate_reference(self.expr, self.semiring, env)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<CodegenProgram over {self.semiring.name}: {str(self.expr)[:60]}>"
@@ -250,6 +233,35 @@ class CodegenProgram:
 # ---------------------------------------------------------------------------
 # Source emission
 # ---------------------------------------------------------------------------
+class _LazyWeight:
+    """A binder-annotation product, multiplied out on first use.
+
+    A big-union body often contributes nothing for most members (a label
+    test filters them out), so when multiplication is an out-of-line call
+    (N[X], for instance) the weight ``outer * annotation`` of a loop level
+    is only computed where a contribution needs it: unguarded when that use
+    is in the loop body's own straight-line block, otherwise behind an
+    ``is None`` check against a ``None`` reset emitted at the loop head (at
+    most one multiplication per member, and none for members that
+    contribute nothing).
+    """
+
+    __slots__ = ("name", "outer", "factor", "region", "reset", "indent", "visible_in")
+
+    def __init__(self, name: str, outer: "str | _LazyWeight", factor: str,
+                 region: int, reset: int, indent: int):
+        self.name = name
+        self.outer = outer
+        self.factor = factor
+        #: The block the weight is defined in, and the index and indent of
+        #: its reserved ``name = None`` line.
+        self.region = region
+        self.reset = reset
+        self.indent = indent
+        #: The block whose code last computed the weight (``None``: nowhere).
+        self.visible_in: int | None = None
+
+
 class _Emitter:
     """Walks the expression once, printing specialized Python statements.
 
@@ -262,8 +274,13 @@ class _Emitter:
     def __init__(self, semiring: Semiring, profile: Any | None = None):
         self.semiring = semiring
         self.profile = profile
-        self.lines: list[str] = []
+        #: Emitted lines; ``None`` marks a reserved line that stayed unused.
+        self.lines: list[str | None] = []
         self.indent = 1
+        #: Stack of open straight-line blocks (loop bodies, branches); a
+        #: value computed in a block is visible in it and its nested blocks.
+        self._regions: list[int] = [0]
+        self._region_count = 0
         self._temp = 0
         self.num_slots = 0
         self.free_slots: dict[str, int] = {}
@@ -279,13 +296,17 @@ class _Emitter:
         #: accumulator atom -> hoisted bound ``dict.get`` atom.
         self._acc_get: dict[str, str] = {}
         #: Number of fold loops instrumented with a stride-counted limit
-        #: check (surfaced as ``CodegenProgram.limit_checks`` for explain).
+        #: check; each generated function that has any starts its own
+        #: ``_lc`` counter.
         self.loop_checks = 0
         self.consts: list[Any] = []
         self._add_tmpl = _validated_template(semiring, "add", semiring.codegen_add, semiring.add)
         self._mul_tmpl = _validated_template(semiring, "mul", semiring.codegen_mul, semiring.mul)
-        self._one = semiring.normalize(semiring.one)
-        self._zero = semiring.normalize(semiring.zero)
+        #: The trivial semiring (``1 == 0``): every singleton is empty.
+        self._trivial = semiring.is_zero(semiring.normalize(semiring.one))
+        #: Whether results may go through the trusted constructor; other
+        #: semirings get the defensive ``KSet(...)`` (re-coerce, re-normalize).
+        self._canonical = semiring.ops_preserve_normal_form
 
     # ------------------------------------------------------------- plumbing
     def emit(self, line: str) -> None:
@@ -295,10 +316,67 @@ class _Emitter:
         self._temp += 1
         return f"_{prefix}{self._temp}"
 
+    def reserve(self) -> int:
+        """Reserve a line at the current position, to be filled in later."""
+        self.lines.append(None)
+        return len(self.lines) - 1
+
+    def fill(self, index: int, line: str, indent: int) -> None:
+        self.lines[index] = "    " * indent + line
+
+    def _open_block(self) -> None:
+        """Enter an indented block (loop body or branch)."""
+        self.indent += 1
+        self._region_count += 1
+        self._regions.append(self._region_count)
+
+    def _close_block(self) -> None:
+        self._regions.pop()
+        self.indent -= 1
+
+    def scaled_weight(self, outer: "str | _LazyWeight", factor: str) -> "str | _LazyWeight":
+        """The weight ``outer * factor`` for a nested accumulation.
+
+        An inlined multiplication (a ``codegen_mul`` template) is cheaper
+        than the guard a deferred one needs, so it is emitted right here;
+        a bound ``_MUL`` call is deferred to its first use.
+        """
+        if self._mul_tmpl is None:
+            return _LazyWeight(
+                self.fresh("w"), outer, factor, self._regions[-1], self.reserve(), self.indent
+            )
+        outer_atom = self.weight_atom(outer)
+        weight = self.fresh("w")
+        self.emit(
+            f"{weight} = {outer_atom} if {factor} == _ONE "
+            f"else {self.mul_expr(outer_atom, factor)}"
+        )
+        return weight
+
+    def weight_atom(self, weight: "str | _LazyWeight | None") -> str | None:
+        """An atom holding ``weight`` at the current point of the code."""
+        if not isinstance(weight, _LazyWeight):
+            return weight
+        if weight.visible_in in self._regions:
+            return weight.name
+        outer = self.weight_atom(weight.outer)
+        product = (
+            f"{outer} if {weight.factor} == _ONE "
+            f"else {self.mul_expr(outer, weight.factor)}"
+        )
+        if self._regions[-1] == weight.region:
+            self.emit(f"{weight.name} = {product}")
+        else:
+            self.fill(weight.reset, f"{weight.name} = None", weight.indent)
+            self.emit(f"if {weight.name} is None: {weight.name} = {product}")
+        weight.visible_in = self._regions[-1]
+        return weight.name
+
     def emit_loop_check(self, acc: str) -> None:
         """Stride-counted guardrail inside a generated fold loop.
 
-        ``_lc`` is a shared per-call counter; every 256th iteration calls
+        ``_lc`` is a per-call counter of the enclosing generated function
+        (shared by all its loops); every 256th iteration calls
         :func:`repro.resilience.limits.check_tick` with the rows accumulated
         so far — two cheap statements per iteration when no limits are armed.
         """
@@ -375,15 +453,15 @@ class _Emitter:
             left, right = self._emit_ifeq_head(expr)
             out = self.fresh()
             self.emit(f"if {left} == {right}:")
-            self.indent += 1
+            self._open_block()
             then_atom = self.emit_value(expr.then)
             self.emit(f"{out} = {then_atom}")
-            self.indent -= 1
+            self._close_block()
             self.emit("else:")
-            self.indent += 1
+            self._open_block()
             else_atom = self.emit_value(expr.orelse)
             self.emit(f"{out} = {else_atom}")
-            self.indent -= 1
+            self._close_block()
             return out
         if kind is PairExpr:
             first = self.emit_value(expr.first)
@@ -438,11 +516,8 @@ class _Emitter:
             finally:
                 self._scope[expr.var].pop()
         if kind is Srt:
-            raise CodegenUnsupported(
-                "srt structural recursion is not straight-line "
-                "(falls back to the closure evaluator)"
-            )
-        raise CodegenUnsupported(f"unknown expression node {expr!r}")
+            return self._emit_srt(expr)
+        raise NRCEvalError(f"unknown expression node {expr!r}")
 
     def _emit_var(self, expr: Var) -> str:
         stack = self._scope.get(expr.name)
@@ -467,10 +542,66 @@ class _Emitter:
             )
         return left, right
 
+    def _emit_srt(self, expr: Srt) -> str:
+        """Structural recursion as a nested generated function.
+
+        ``def _srtN(node)`` memoizes per subtree, checks the limits once per
+        newly visited node, builds the accumulator by mapping itself over
+        the children (collapsing results add their annotations, Equation
+        (1)), binds the label and the accumulator to locals and evaluates
+        the body.  Being nested, it reads the enclosing locals an open body
+        refers to; an open body also gets a fresh memo per application,
+        while a closed body's memo is a program constant that persists
+        across evaluations.
+        """
+        target = self.emit_value(expr.target)
+        self.guard_tree(target, "structural recursion")
+        function, node = self.fresh("srt"), self.fresh("n")
+        if free_variables(expr.body) - {expr.label_var, expr.acc_var}:
+            memo = self.fresh("memo")
+            self.emit(f"{memo} = {{}}")
+        else:
+            memo = self.const({})
+            self.emit(f"if len({memo}) > {_SRT_MEMO_LIMIT}: {memo}.clear()")
+        self.emit(f"def {function}({node}):")
+        self._open_block()
+        counter, checks_before = self.reserve(), self.loop_checks
+        cached, children = self.fresh(), self.fresh()
+        self.emit(f"{cached} = {memo}.get({node})")
+        self.emit(f"if {cached} is not None: return {cached}")
+        self.emit("_TICK()")
+        self.emit(f"{children} = {node}._children")
+        self.guard_semiring(children)
+        label, accumulator = self.fresh("l"), self.fresh("a")
+        self.emit(f"{accumulator} = {children}.map({function})")
+        self.emit(f"{label} = {node}._label")
+        self._known[label] = "label"
+        self._known[accumulator] = "kset"
+        self._scope.setdefault(expr.label_var, []).append(label)
+        self._scope.setdefault(expr.acc_var, []).append(accumulator)
+        try:
+            result = self.emit_value(expr.body)
+        finally:
+            self._scope[expr.acc_var].pop()
+            self._scope[expr.label_var].pop()
+        self.emit(f"{memo}[{node}] = {result}")
+        self.emit(f"return {result}")
+        if self.loop_checks > checks_before:
+            self.fill(counter, "_lc = 0", self.indent)
+        self._close_block()
+        out = self.fresh()
+        self.emit(f"{out} = {function}({target})")
+        # The function refers to itself through its closure cell; clearing
+        # the cell frees it (and an open body's memo) without waiting for the
+        # cycle collector.
+        self.emit(f"del {function}")
+        return out
+
     def _emit_collection_value(self, expr: Expr) -> str:
-        # Singleton gets the closure evaluator's direct construction.
         if type(expr) is Singleton:
             member = self.emit_value(expr.expr)
+            if self._trivial:
+                return "_EMPTY"  # {v} is annotated 1 == 0, i.e. empty
             out = self.fresh()
             self.emit(f"{out} = _from_normalized(_SR, {{{member}: _ONE}})")
             self._known[out] = "kset"
@@ -483,18 +614,20 @@ class _Emitter:
         self.emit(f"{getter} = {acc}.get")
         self.emit_into(expr, acc, None)
         out = self.fresh()
-        # One cleanup pass over the accumulator: collision sums can collapse
-        # to zero and annihilating multiplications can produce it (exactly
-        # the closure evaluator's final comprehension in big union).
-        self.emit(
-            f"{out} = _from_normalized(_SR, "
-            f"{{_v: _a for _v, _a in {acc}.items() if _a != _ZERO}})"
-        )
+        if self._canonical:
+            # One cleanup pass over the accumulator: collision sums can
+            # collapse to zero and annihilating multiplications can produce it.
+            self.emit(
+                f"{out} = _from_normalized(_SR, "
+                f"{{_v: _a for _v, _a in {acc}.items() if _a != _ZERO}})"
+            )
+        else:
+            self.emit(f"{out} = _KSet(_SR, {acc})")
         self._known[out] = "kset"
         return out
 
     # ---------------------------------------------------- accumulation mode
-    def emit_into(self, expr: Expr, acc: str, weight: str | None,
+    def emit_into(self, expr: Expr, acc: str, weight: str | _LazyWeight | None,
                   context: str = "big union") -> None:
         """Accumulate the collection-typed ``expr``, scaled by ``weight``,
         into the dict ``acc`` (``weight is None`` means the semiring one)."""
@@ -503,7 +636,7 @@ class _Emitter:
             return
         if kind is Singleton:
             member = self.emit_value(expr.expr)
-            self._accumulate(acc, member, weight if weight is not None else "_ONE")
+            self._accumulate(acc, member, self.weight_atom(weight) or "_ONE")
             return
         if kind is Union:
             self.emit_into(expr.left, acc, weight, "union")
@@ -518,15 +651,15 @@ class _Emitter:
         if kind is IfEq:
             left, right = self._emit_ifeq_head(expr)
             self.emit(f"if {left} == {right}:")
-            self.indent += 1
+            self._open_block()
             self.emit_into(expr.then, acc, weight, context)
             self.emit("pass")
-            self.indent -= 1
+            self._close_block()
             self.emit("else:")
-            self.indent += 1
+            self._open_block()
             self.emit_into(expr.orelse, acc, weight, context)
             self.emit("pass")
-            self.indent -= 1
+            self._close_block()
             return
         if kind is Let:
             value = self.emit_value(expr.value)
@@ -540,36 +673,47 @@ class _Emitter:
         # its already-normalized items into the accumulator.
         atom = self.emit_value(expr)
         self.guard_kset(atom, context)
+        self._emit_fold(atom, acc, weight)
+
+    def _emit_fold(self, atom: str, acc: str, weight: str | _LazyWeight | None) -> None:
+        """Fold the items of the K-set ``atom``, scaled by ``weight``, into ``acc``."""
         self.guard_semiring(atom)
         member = self.fresh("m")
         annot = self.fresh("k")
         self.emit(f"for {member}, {annot} in {atom}._items.items():")
-        self.indent += 1
+        self._open_block()
         self.emit_loop_check(acc)
-        if weight is None:
+        scale = self.weight_atom(weight)
+        if scale is None:
             self._accumulate(acc, member, annot)
         else:
             contribution = self.fresh("w")
             self.emit(
-                f"{contribution} = {annot} if {weight} == _ONE "
-                f"else {self.mul_expr(weight, annot)}"
+                f"{contribution} = {annot} if {scale} == _ONE "
+                f"else {self.mul_expr(scale, annot)}"
             )
             self._accumulate(acc, member, contribution)
-        self.indent -= 1
+        self._close_block()
 
-    def _emit_scale_into(self, expr: Scale, acc: str, weight: str | None) -> None:
+    def _emit_scale_into(self, expr: Scale, acc: str,
+                         weight: str | _LazyWeight | None) -> None:
         try:
             scalar = self.semiring.coerce(expr.scalar)
         except AnnotationError:
-            raise CodegenUnsupported(
-                f"scalar {expr.scalar!r} is foreign to the semiring "
-                f"{self.semiring.name}"
-            ) from None
+            # A scalar foreign to the compile-time semiring: the collection
+            # scales itself (coercing in its own semiring, or raising), as in
+            # the interpreter.
+            atom = self.emit_value(expr.expr)
+            self.guard_kset(atom, "scalar multiplication")
+            scaled = self.fresh()
+            self.emit(f"{scaled} = {atom}.scale({self.const(expr.scalar)})")
+            self._emit_fold(scaled, acc, weight)
+            return
         if self.semiring.is_zero(scalar):
             # Contributes nothing, but the inner collection is still
-            # evaluated and checked, as in the closure evaluator — including
-            # the semiring guard, whose foreign behavior (KSet.scale with
-            # the raw scalar) only the closure fallback reproduces.
+            # evaluated and checked, as in the interpreter — including the
+            # semiring guard, whose foreign behavior (KSet.scale with the
+            # raw scalar) only the interpreter rerun reproduces.
             atom = self.emit_value(expr.expr)
             self.guard_kset(atom, "scalar multiplication")
             self.guard_semiring(atom)
@@ -581,11 +725,10 @@ class _Emitter:
         if weight is None:
             self.emit_into(expr.expr, acc, scalar_atom)
             return
-        scaled = self.fresh("w")
-        self.emit(f"{scaled} = {self.mul_expr(weight, scalar_atom)}")
-        self.emit_into(expr.expr, acc, scaled)
+        self.emit_into(expr.expr, acc, self.scaled_weight(weight, scalar_atom))
 
-    def _emit_big_union_into(self, expr: BigUnion, acc: str, weight: str | None) -> None:
+    def _emit_big_union_into(self, expr: BigUnion, acc: str,
+                             weight: str | _LazyWeight | None) -> None:
         # A fused loop has no own timer (its body is interleaved with the
         # enclosing accumulation), but under profiling it registers as a
         # ``fused`` operator whose iterations are counted.
@@ -599,8 +742,8 @@ class _Emitter:
             if profile is not None:
                 profile.close_op()
 
-    def _emit_big_union_loop(self, expr: BigUnion, acc: str, weight: str | None,
-                             fused_op: Any | None) -> None:
+    def _emit_big_union_loop(self, expr: BigUnion, acc: str,
+                             weight: str | _LazyWeight | None, fused_op: Any | None) -> None:
         source = self.emit_value(expr.source)
         self.guard_kset(source, "big union")
         self.guard_semiring(source)
@@ -609,25 +752,18 @@ class _Emitter:
         if source in self._tree_elements:
             self._known[member] = "tree"
         self.emit(f"for {member}, {annot} in {source}._items.items():")
-        self.indent += 1
+        self._open_block()
         self.emit_loop_check(acc)
         if fused_op is not None:
             self.emit(f"_PCNT({fused_op.index})")
-        if weight is None:
-            inner_weight = annot
-        else:
-            inner_weight = self.fresh("w")
-            self.emit(
-                f"{inner_weight} = {weight} if {annot} == _ONE "
-                f"else {self.mul_expr(weight, annot)}"
-            )
+        inner_weight = annot if weight is None else self.scaled_weight(weight, annot)
         self._scope.setdefault(expr.var, []).append(member)
         try:
             self.emit_into(expr.body, acc, inner_weight, "big union body")
         finally:
             self._scope[expr.var].pop()
         self.emit("pass")
-        self.indent -= 1
+        self._close_block()
 
     def _accumulate(self, acc: str, member: str, contribution: str) -> None:
         # One bound-method lookup per accumulator (hoisted to its creation
@@ -703,35 +839,23 @@ def generate_source(expr: Expr, semiring: Semiring,
                     profile: Any | None = None) -> tuple[str, dict[str, Any], dict[str, int], int]:
     """Emit the specialized source for ``expr`` over ``semiring``.
 
-    Returns ``(source, namespace, free_slots, num_slots)``; raises
-    :class:`CodegenUnsupported` when the expression is outside the
-    straight-line fragment or the semiring is unsuitable.  ``profile``
+    Returns ``(source, namespace, free_slots, num_slots)``.  ``profile``
     (an ``repro.obs.profile.Profiler``) adds per-operator instrumentation
     to the emitted source — never used for cached production programs.
     """
-    if not semiring.ops_preserve_normal_form:
-        raise CodegenUnsupported(
-            f"semiring {semiring.name} does not preserve canonical form under "
-            "its operations (the trusted constructors would be unsound)"
-        )
-    one = semiring.normalize(semiring.one)
-    if semiring.is_zero(one):
-        raise CodegenUnsupported(
-            f"semiring {semiring.name} is trivial (1 == 0); singletons collapse"
-        )
-    # No pre-scan for srt: the emitter raises CodegenUnsupported at the Srt
-    # node itself, so unsupported forms decline in the same single walk.
     emitter = _Emitter(semiring, profile=profile)
     result = emitter.emit_value(expr)
     emitter.emit(f"return {result}")
     if emitter.loop_checks:
         emitter.lines.insert(0, "    _lc = 0")
-    source = "def _nrc_program(frame):\n" + "\n".join(emitter.lines) + "\n"
+    source = "def _nrc_program(frame):\n" + "".join(
+        line + "\n" for line in emitter.lines if line is not None
+    )
 
     def _require_semiring(collection: KSet) -> None:
         other = collection._semiring
         if other != semiring:
-            raise _ForeignCollection(semiring.name, other.name)
+            raise _ForeignCollection()
 
     def _raise_unbound(name: str) -> None:
         raise NRCEvalError(f"unbound variable {name!r}")
@@ -763,7 +887,7 @@ def generate_source(expr: Expr, semiring: Semiring,
         "_UNBOUND": _UNBOUND,
         "_EMPTY": KSet.empty(semiring),
         "_ZERO": semiring.normalize(semiring.zero),
-        "_ONE": one,
+        "_ONE": semiring.normalize(semiring.one),
         "_ADD": semiring.add,
         "_MUL": semiring.mul,
         "_from_normalized": KSet._from_normalized,
@@ -791,49 +915,16 @@ def generate_source(expr: Expr, semiring: Semiring,
 
 def compile_codegen(expr: Expr, semiring: Semiring,
                     profile: Any | None = None) -> CodegenProgram:
-    """Generate and byte-compile ``expr``; raises :class:`CodegenUnsupported`.
+    """Generate and byte-compile ``expr`` over ``semiring``.
 
     Profiled compilations (``profile=``) are side runs for ``explain
-    --analyze``: they do not touch the generation counters.
+    --analyze``: they do not touch the generation counter.
     """
     source, namespace, free_slots, num_slots = generate_source(expr, semiring, profile)
-    try:
-        code = compile(source, "<nrc-codegen>", "exec")
-    except SyntaxError as error:  # e.g. a malformed user op template survived
-        raise CodegenUnsupported(f"generated source does not compile: {error}") from error
-    exec(code, namespace)
+    exec(compile(source, "<nrc-codegen>", "exec"), namespace)
     if profile is None:
         _GENERATED_COUNTER.inc()
-    return CodegenProgram(expr, semiring, source, namespace["_nrc_program"], free_slots, num_slots)
-
-
-def try_compile_codegen(expr: Expr, semiring: Semiring) -> tuple[CodegenProgram | None, str | None]:
-    """:func:`compile_codegen` that reports a decline instead of raising.
-
-    Returns ``(program, None)`` on success and ``(None, reason)`` when the
-    expression is outside the codegen fragment — the engine keeps the reason
-    for ``repro explain`` and falls back to the closure evaluator.
-    """
-    try:
-        return compile_codegen(expr, semiring), None
-    except CodegenUnsupported as declined:
-        _DECLINED_COUNTER.inc()
-        emit("codegen.decline", reason=str(declined), semiring=semiring.name)
-        return None, str(declined)
-
-
-def compile_program(expr: Expr, semiring: Semiring, closure: Any) -> tuple[Any, CodegenProgram | None, str | None]:
-    """The full two-stage compilation used by every serving layer.
-
-    Tries codegen; on success wires ``closure`` (the closure-compiled form
-    of the same expression) as the runtime foreign-collection fallback; on
-    decline the closure program itself serves.  Returns
-    ``(program, generated, reason)`` — ``program`` is what callers execute,
-    ``generated`` is the :class:`CodegenProgram` (or ``None``), ``reason``
-    is the decline reason (or ``None``).
-    """
-    generated, reason = try_compile_codegen(expr, semiring)
-    if generated is None:
-        return closure, None, reason
-    generated.fallback = closure
-    return generated, generated, None
+    # Popped so the namespace does not refer back to the function: a dropped
+    # program (and its persistent srt memos) is freed by reference counting.
+    run = namespace.pop("_nrc_program")
+    return CodegenProgram(expr, semiring, source, run, free_slots, num_slots)

@@ -14,7 +14,7 @@ armed, an instrumentation site costs one module-global read.
   slow traces.  Exportable as JSONL or Chrome ``trace_event`` JSON.
 * :mod:`repro.obs.events` — the flight recorder: a bounded ring of
   structured events emitted at operational decision points (worker
-  retries, IVM recompute fallbacks, codegen declines, limit trips, fault
+  retries, IVM recompute fallbacks, limit trips, fault
   injections, ...), dumpable via ``repro events`` or ``/debug/events``.
 * :mod:`repro.obs.qlog` — the structured query log: one typed record per
   user-facing evaluation (engine, batch/shard exec, store queries, IVM
@@ -23,7 +23,7 @@ armed, an instrumentation site costs one module-global read.
   (``REPRO_QUERY_LOG``) for ``repro replay`` / ``repro report``.
   Disarmed by default — an instrumentation site costs one global read.
 * :mod:`repro.obs.profile` — per-operator wall time and row counts under
-  all three NRC evaluators (``repro explain --analyze``) plus the
+  both NRC evaluators (``repro explain --analyze``) plus the
   slow-query log (``REPRO_SLOW_QUERY_MS``).
 * :mod:`repro.obs.http` — the telemetry HTTP surface: a mountable WSGI
   app plus a threaded stdlib server (``repro metrics --serve``) exposing

@@ -1,7 +1,7 @@
 """Flight recorder: a bounded ring of structured "something notable happened" events.
 
 PR 7's counters say *how often* the interesting things happened — worker
-retries, recompute fallbacks, codegen declines, fault trips — but not
+retries, recompute fallbacks, fault trips — but not
 *when*, *why*, or *inside which trace*.  This module is the always-on
 complement: every such site calls :func:`emit` with a typed kind and
 structured attributes, and the event lands in a bounded, thread-safe ring
@@ -68,7 +68,6 @@ EVENT_CATALOG: dict[str, str] = {
     "worker.retry": "a failed batch partition was retried on a rebuilt pool",
     "worker.degraded": "retry budget spent; a failed partition ran inline",
     "ivm.recompute": "view maintenance fell back to full recomputation",
-    "codegen.decline": "source codegen declined an expression (closure fallback)",
     "store.pushdown_fallback": "navigation pushdown declined; single-shot fallback",
     "store.wal_compact": "a store snapshotted its columns and truncated the WAL",
     "limits.timeout": "an evaluation exceeded its time budget (QueryTimeoutError)",

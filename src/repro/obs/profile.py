@@ -1,4 +1,4 @@
-"""Per-operator profiling for the three NRC evaluators + the slow-query log.
+"""Per-operator profiling for the two NRC evaluators + the slow-query log.
 
 ``repro explain --analyze`` needs to answer "where does this query spend
 its time" under any evaluation method, without taxing production paths.
@@ -6,8 +6,6 @@ Profiling therefore never instruments the programs a
 :class:`~repro.uxquery.engine.PreparedQuery` caches — it compiles a
 *separate*, instrumented program on demand:
 
-* ``nrc`` — a :class:`ProfilingCompiler` subclass of the closure compiler
-  wraps every node's runner with a timer and row counter;
 * ``nrc-interp`` — the Figure 8 interpreter exposes a module-level profile
   hook (one global read per node when disarmed, the same price as its
   per-node limit check); the hook times each node by object identity
@@ -15,9 +13,8 @@ Profiling therefore never instruments the programs a
 * ``nrc-codegen`` — source generation accepts a profiler and emits timing
   around every value-position operator plus iteration counters inside the
   fused loops; operators that codegen fuses into an enclosing loop carry
-  iteration counts and are marked ``fused``.  When generation declines,
-  profiling falls back to the instrumented closures — exactly the
-  production fallback rule — and the report records the decline reason.
+  iteration counts and are marked ``fused``.  Operators inside a generated
+  ``srt`` recursion are timed once per visited subtree.
 
 Times are *inclusive* (each operator's total includes its children, as in
 ``EXPLAIN ANALYZE``); the renderer derives self-time by subtracting direct
@@ -25,7 +22,7 @@ children.
 
 The **slow-query log** arms from ``REPRO_SLOW_QUERY_MS``: when set, every
 :meth:`PreparedQuery.evaluate` that exceeds the threshold records query
-text, method, codegen decline reason, stage timings and duration into a
+text, method, stage timings and duration into a
 bounded in-process buffer (:func:`slow_queries`) and, when
 ``REPRO_SLOW_QUERY_LOG`` names a file, appends the entry as JSONL.
 Disarmed cost inside ``evaluate``: one module-global read.
@@ -41,16 +38,13 @@ from collections import deque
 from typing import Any, Mapping
 
 from repro.errors import UXQueryEvalError
-from repro.kcollections.kset import KSet
 from repro.nrc.ast import Expr
-from repro.nrc.compile_eval import CompiledExpr, _Compiler
 from repro.obs.events import emit
 from repro.obs.metrics import default_registry
 
 __all__ = [
     "Profiler",
     "ProfileReport",
-    "ProfilingCompiler",
     "profile_evaluate",
     "slow_queries",
     "clear_slow_queries",
@@ -60,13 +54,9 @@ __all__ = [
     "slow_query_threshold",
 ]
 
-_PROFILE_METHODS = ("nrc-codegen", "nrc", "nrc-interp")
+_PROFILE_METHODS = ("nrc-codegen", "nrc-interp")
 
 _perf = time.perf_counter
-
-
-def _rows(value: Any) -> int:
-    return len(value._items) if value.__class__ is KSet else 1
 
 
 class _Op:
@@ -140,53 +130,13 @@ class Profiler:
         self.calls[index] += 1
 
 
-class ProfilingCompiler(_Compiler):
-    """The closure compiler with every runner wrapped in a timer."""
-
-    def __init__(self, semiring, profiler: Profiler):
-        super().__init__(semiring)
-        self._profiler = profiler
-
-    def compile(self, expr: Expr):
-        profiler = self._profiler
-        op = profiler.open_op(expr)
-        try:
-            run = super(ProfilingCompiler, self).compile(expr)
-        finally:
-            profiler.close_op()
-        index = op.index
-        record = profiler.record
-
-        def profiled(frame: list) -> Any:
-            started = _perf()
-            value = run(frame)
-            record(index, _perf() - started, _rows(value))
-            return value
-
-        return profiled
-
-
-def compile_profiled(expr: Expr, semiring) -> tuple[CompiledExpr, Profiler]:
-    """Closure-compile ``expr`` with profiling instrumentation."""
-    profiler = Profiler()
-    compiler = ProfilingCompiler(semiring, profiler)
-    run = compiler.compile(expr)
-    return (
-        CompiledExpr(expr, semiring, run, compiler.free_slots, compiler.num_slots),
-        profiler,
-    )
-
-
 class ProfileReport:
     """The analyzed operator tree for one profiled evaluation."""
 
-    def __init__(self, method: str, profiler: Profiler, total_s: float,
-                 generated: bool = False, fallback_reason: str | None = None):
+    def __init__(self, method: str, profiler: Profiler, total_s: float):
         self.method = method
         self.profiler = profiler
         self.total_s = total_s
-        self.generated = generated
-        self.fallback_reason = fallback_reason
 
     # ---------------------------------------------------------------- export
     def to_dict(self) -> dict[str, Any]:
@@ -206,8 +156,6 @@ class ProfileReport:
         return {
             "method": self.method,
             "total_ms": self.total_s * 1000.0,
-            "generated": self.generated,
-            "fallback_reason": self.fallback_reason,
             "operators": [node(root) for root in profiler.roots],
         }
 
@@ -218,12 +166,8 @@ class ProfileReport:
             f"total {self.total_s * 1000.0:.3f} ms)"
         ]
         if self.method == "nrc-codegen":
-            if self.generated:
-                lines.append("codegen: generated (fused operators carry "
-                             "iteration counts, no own timer)")
-            else:
-                lines.append(f"codegen: declined ({self.fallback_reason}); "
-                             "profiled the closure fallback")
+            lines.append("codegen: generated (fused operators carry "
+                         "iteration counts, no own timer)")
 
         def walk(op: _Op, depth: int) -> None:
             indent = "  " * depth
@@ -277,34 +221,14 @@ def profile_evaluate(prepared: Any, env: Mapping[str, Any] | None = None,
             )
         return result, ProfileReport(method, profiler, _perf() - started)
 
-    if method == "nrc":
-        program, profiler = compile_profiled(prepared.nrc_simplified, semiring)
-        started = _perf()
-        result = program.evaluate(env)
-        return result, ProfileReport(method, profiler, _perf() - started)
-
-    # nrc-codegen: instrumented source generation, closure fallback on decline
-    from repro.nrc.codegen import CodegenUnsupported, compile_codegen
+    # nrc-codegen: instrumented source generation
+    from repro.nrc.codegen import compile_codegen
 
     profiler = Profiler()
-    try:
-        program = compile_codegen(
-            prepared.nrc_simplified, semiring, profile=profiler
-        )
-    except CodegenUnsupported as declined:
-        fallback, profiler = compile_profiled(prepared.nrc_simplified, semiring)
-        started = _perf()
-        result = fallback.evaluate(env)
-        return result, ProfileReport(
-            method, profiler, _perf() - started,
-            generated=False, fallback_reason=str(declined),
-        )
-    program.fallback = prepared.compiled
+    program = compile_codegen(prepared.nrc_simplified, semiring, profile=profiler)
     started = _perf()
     result = program.evaluate(env)
-    return result, ProfileReport(
-        method, profiler, _perf() - started, generated=True
-    )
+    return result, ProfileReport(method, profiler, _perf() - started)
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,15 @@ yields a :class:`LimitGuard` — an armed guard with an absolute
 ``time.monotonic()`` deadline — which is pushed onto a thread-local
 stack for the dynamic extent of the evaluation.
 
-The three evaluators never receive the guard explicitly; their hot loops
+The evaluators never receive the guard explicitly; their hot loops
 call :func:`check_tick`, which is a single global read when no guard is
 active anywhere in the process:
 
 - the Figure 8 reference interpreter checks per AST node and charges
   ``len(result)`` rows at each BigUnion;
-- the closure evaluator checks once per outer big-union member (with the
-  accumulated row count) and per srt recursion step;
 - the codegen evaluator *emits* stride-counted checks (``_lc += 1`` /
-  ``if not _lc & 255: _TICK(len(acc))``) into every generated fold loop.
+  ``if not _lc & 255: _TICK(len(acc))``) into every generated fold loop,
+  and one check per newly visited node into every generated srt recursion.
 
 Violations raise the typed errors from :mod:`repro.errors`:
 ``QueryTimeoutError`` for the deadline, ``BudgetExceededError`` for the

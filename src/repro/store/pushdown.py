@@ -31,10 +31,9 @@ stored forest — so pushdown can never change a result, only its cost.
 Recognition, pushdown and fallback counts are reported in the store stats.
 
 Residual plans (and the single-shot fallback) compile through the store's
-plan cache and therefore through the engine's full two-stage pipeline: the
-residual executes as source-generated bytecode (``nrc-codegen``) whenever it
-is straight-line, closures otherwise — observable on the plan's
-``generated.calls`` counter.
+plan cache and therefore through the engine's pipeline: the residual
+executes as source-generated bytecode (``nrc-codegen``) — observable on the
+plan's ``generated.calls`` counter.
 """
 
 from __future__ import annotations

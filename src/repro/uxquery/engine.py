@@ -7,22 +7,16 @@ This is the main entry point of the library::
 
     answer = evaluate_query("element p { $S/*/* }", PROVENANCE, {"S": source})
 
-Four evaluation methods are available and agree on every query (the
+Three evaluation methods are available and agree on every query (the
 test-suite checks this):
 
 * ``method="nrc-codegen"`` (default) — the paper's semantics at full speed:
   compile into NRC_K + srt (Section 6.3), simplify with the Appendix A
   axioms, and run the *source-generated* program (:mod:`repro.nrc.codegen`):
-  the straight-line fragment is printed as specialized Python source — bind
-  chains fused into nested loops, semiring operations inlined — and
-  byte-compiled at prepare time.  When generation declines (``srt``
-  recursion, non-canonical semirings), this method **transparently falls
-  back** to the closure-compiled form, so it is always safe;
-* ``method="nrc"`` — the closure-compiled form
-  (:mod:`repro.nrc.compile_eval`) unconditionally: one AST walk emits a tree
-  of Python closures with slot-based frames and pre-bound semiring ops.
-  The fallback target of ``nrc-codegen`` and the production evaluator for
-  recursive (``srt``) plans;
+  the plan is printed as specialized Python source — bind chains fused into
+  nested loops, semiring operations inlined, ``srt`` as a memoized recursive
+  function — and byte-compiled at prepare time.  Codegen is total, so every
+  plan runs this way;
 * ``method="nrc-interp"`` — the *unsimplified* NRC_K + srt compilation output
   run by the reference Figure 8 interpreter (:mod:`repro.nrc.eval`).  Kept as
   the executable specification and as the baseline of the performance suite;
@@ -30,9 +24,9 @@ test-suite checks this):
   methods also validates the Appendix A simplifier;
 * ``method="direct"`` — an independent structural interpreter over K-UXML.
 
-The three-evaluator equivalence contract — ``nrc-interp == nrc ==
-nrc-codegen`` on every expression, every registry semiring — is checked by
-the equivalence corpus and the differential fuzz suite in ``tests/nrc/``.
+The evaluator equivalence contract — ``nrc-interp == nrc-codegen`` on every
+expression, every registry semiring — is checked by the equivalence corpus
+and the differential fuzz suite in ``tests/nrc/``.
 """
 
 from __future__ import annotations
@@ -44,8 +38,7 @@ from typing import Any, Iterable, Mapping
 from repro.errors import UXQueryEvalError, UXQueryTypeError
 from repro.kcollections.kset import KSet
 from repro.nrc.ast import Expr, expression_size
-from repro.nrc.codegen import CodegenProgram, compile_program
-from repro.nrc.compile_eval import CompiledExpr, compile_expr
+from repro.nrc.codegen import CodegenProgram, compile_codegen
 from repro.nrc.eval import evaluate as evaluate_nrc
 from repro.nrc.rewrite import simplify
 from repro.obs import profile as _obs_profile
@@ -74,10 +67,9 @@ __all__ = [
 ]
 
 #: The evaluation methods understood by :meth:`PreparedQuery.evaluate`.
-VALID_METHODS = ("nrc-codegen", "nrc", "nrc-interp", "direct")
+VALID_METHODS = ("nrc-codegen", "nrc-interp", "direct")
 
-#: The production default: the generated program when codegen succeeded,
-#: the closure-compiled form otherwise (automatic fallback, never an error).
+#: The production default: the generated program.
 DEFAULT_METHOD = "nrc-codegen"
 
 
@@ -233,12 +225,12 @@ class PreparedQuery:
     """A parsed, normalized, typechecked and compiled K-UXQuery.
 
     Preparation runs the whole front half of the pipeline once — parse,
-    normalize, typecheck, compile to NRC_K + srt, simplify, and compile the
-    NRC core into closures — so that :meth:`evaluate` only pays for
-    evaluation.  The compile-once-evaluate-many contract: a prepared query is
-    immutable and safe to evaluate repeatedly (and concurrently) against
-    different environments, and repeated evaluations reuse the compiled
-    closure tree and its memo tables.
+    normalize, typecheck, compile to NRC_K + srt, simplify, and generate the
+    specialized program — so that :meth:`evaluate` only pays for evaluation.
+    The compile-once-evaluate-many contract: a prepared query is immutable
+    and safe to evaluate repeatedly (and concurrently) against different
+    environments, and repeated evaluations reuse the generated program and
+    its persistent ``srt`` memo tables.
     """
 
     def __init__(self, query: Query, semiring: Semiring, env_types: Mapping[str, str]):
@@ -274,41 +266,13 @@ class PreparedQuery:
         self.signature = plan_signature(self.nrc_simplified, semiring, self.env_types)
         self._plan_cache_hit = False
         started = _perf()
-        with span("prepare.compile-closures"):
-            self.compiled: CompiledExpr = compile_expr(self.nrc_simplified, semiring)
-        timings["compile-closures"] = _perf() - started
-        # The source-generated program, when the simplified form lies in the
-        # straight-line codegen fragment; ``codegen_reason`` records why
-        # generation declined otherwise (surfaced by ``repro explain``).
-        # ``program`` is the default execution program: generated code (with
-        # the closure tree as runtime foreign-collection fallback) when
-        # available, the closure tree otherwise — the ``nrc-codegen``
-        # fallback rule.
-        self.generated: CodegenProgram | None
-        self.codegen_reason: str | None
-        started = _perf()
-        with span("prepare.codegen") as codegen_span:
-            self.program, self.generated, self.codegen_reason = compile_program(
-                self.nrc_simplified, semiring, self.compiled
-            )
-            codegen_span.annotate(
-                generated=self.generated is not None, reason=self.codegen_reason
-            )
+        with span("prepare.codegen"):
+            #: The source-generated program every ``nrc-codegen`` evaluation
+            #: runs (codegen is total, so it is always set).
+            self.generated: CodegenProgram = compile_codegen(self.nrc_simplified, semiring)
         timings["codegen"] = _perf() - started
 
     # ------------------------------------------------------------ evaluation
-    def program_for(self, method: str) -> CompiledExpr | CodegenProgram:
-        """The frame-protocol program serving ``method`` (``nrc*`` only).
-
-        ``"nrc-codegen"`` resolves to the generated program with the closure
-        tree as automatic fallback; ``"nrc"`` always resolves to the closure
-        tree.  Both kinds share the frame protocol the batch evaluator's
-        template fast path relies on.
-        """
-        if method == "nrc":
-            return self.compiled
-        return self.program
-
     def evaluate(
         self,
         env: Mapping[str, Any] | None = None,
@@ -332,7 +296,7 @@ class PreparedQuery:
         guardrail: the deadline clock starts at this call, the evaluators
         check it cooperatively in their hot loops, and violations raise the
         typed ``QueryTimeoutError``/``BudgetExceededError`` — identically
-        under every method (three-evaluator contract).
+        under every method (the evaluator equivalence contract).
         """
         validate_method(method)
         if documents is not None:
@@ -368,7 +332,6 @@ class PreparedQuery:
                     "method": method,
                     "semiring": self.semiring.name,
                     "duration_ms": elapsed_ms,
-                    "codegen_reason": self.codegen_reason,
                     "stage_timings_ms": {
                         stage: seconds * 1000.0
                         for stage, seconds in self.stage_timings.items()
@@ -384,9 +347,7 @@ class PreparedQuery:
 
     def _dispatch(self, env: Mapping[str, Any] | None, method: str) -> Any:
         if method == "nrc-codegen":
-            return self.program.evaluate(env)
-        if method == "nrc":
-            return self.compiled.evaluate(env)
+            return self.generated.evaluate(env)
         if method == "nrc-interp":
             return evaluate_nrc(self.nrc, self.semiring, dict(env) if env else {})
         return evaluate_direct(self.core, self.semiring, dict(env) if env else {})

@@ -68,7 +68,6 @@ def test_batch_interpreter_methods_agree():
     evaluator = BatchEvaluator(prepared)
     compiled = evaluator.evaluate_many(documents)
     assert evaluator.evaluate_many(documents, method="nrc-codegen") == compiled
-    assert evaluator.evaluate_many(documents, method="nrc") == compiled
     assert evaluator.evaluate_many(documents, method="nrc-interp") == compiled
     assert evaluator.evaluate_many(documents, method="direct") == compiled
 
@@ -81,8 +80,8 @@ def test_batch_executes_the_generated_program():
     before = prepared.generated.calls
     BatchEvaluator(prepared).evaluate_many(documents)
     assert prepared.generated.calls == before + len(documents)
-    # Forcing the closure method leaves the generated counter untouched.
-    BatchEvaluator(prepared).evaluate_many(documents, method="nrc")
+    # Forcing the interpreter leaves the generated counter untouched.
+    BatchEvaluator(prepared).evaluate_many(documents, method="nrc-interp")
     assert prepared.generated.calls == before + len(documents)
 
 

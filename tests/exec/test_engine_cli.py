@@ -206,7 +206,7 @@ class TestCliBatch:
 
     def test_query_method_flag_reaches_interpreter(self, document_dir, capsys):
         document = f"{document_dir}/one.xml"
-        for method in ("nrc", "nrc-interp", "direct"):
+        for method in ("nrc-codegen", "nrc-interp", "direct"):
             assert (
                 main(
                     [

@@ -152,7 +152,7 @@ def test_prepared_query_commutation_both_methods():
     prepared_nx = prepare_query(figure4_query(), PROVENANCE, {"T": source})
     boolean_source = map_value_annotations(source, hom)
     prepared_b = prepare_query(figure4_query(), BOOLEAN, {"T": boolean_source})
-    for method in ("nrc", "direct"):
+    for method in ("nrc-codegen", "direct"):
         after = map_value_annotations(prepared_nx.evaluate({"T": source}, method=method), hom)
         before = prepared_b.evaluate({"T": boolean_source}, method=method)
         assert after == before

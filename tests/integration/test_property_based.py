@@ -53,7 +53,7 @@ _QUERIES = st.sampled_from(sorted(standard_query_suite().items()))
 def test_compiled_and_direct_semantics_agree(forest, named_query):
     _, query = named_query
     prepared = prepare_query(query, NATURAL, {"S": forest})
-    assert prepared.evaluate({"S": forest}, method="nrc") == prepared.evaluate(
+    assert prepared.evaluate({"S": forest}, method="nrc-codegen") == prepared.evaluate(
         {"S": forest}, method="direct"
     )
 

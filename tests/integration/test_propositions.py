@@ -191,7 +191,7 @@ class TestThreeSemanticsAgree:
         forest = random_forest(PROVENANCE, num_trees=2, depth=3, fanout=2, seed=seed)
         for name, text in standard_query_suite().items():
             prepared = prepare_query(text, PROVENANCE, {"S": forest})
-            assert prepared.evaluate({"S": forest}, method="nrc") == prepared.evaluate(
+            assert prepared.evaluate({"S": forest}, method="nrc-codegen") == prepared.evaluate(
                 {"S": forest}, method="direct"
             ), name
 
@@ -212,7 +212,7 @@ class TestThreeSemanticsAgree:
 
         source = figure4_source()
         expected = dict(figure4_expected_children().items())
-        for method in ("nrc", "direct"):
+        for method in ("nrc-codegen", "direct"):
             answer = evaluate_query(figure4_query(), PROVENANCE, {"T": source}, method=method)
             assert dict(answer.children.items()) == expected
         shredded = evaluate_xpath_via_datalog(

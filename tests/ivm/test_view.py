@@ -289,9 +289,9 @@ class TestBatchedApplication:
 
 
 class TestCodegenDeltaPlans:
-    """Delta plans compile through the source-codegen pipeline when the
-    derived expression is straight-line, and maintenance runs the generated
-    program — observably via its execution counter."""
+    """Delta plans compile through the source-codegen pipeline, and
+    maintenance runs the generated program — observably via its execution
+    counter."""
 
     def test_straight_line_delta_plan_executes_generated_code(self):
         document = random_forest(NATURAL, num_trees=4, depth=3, fanout=2, seed=31)
@@ -299,8 +299,6 @@ class TestCodegenDeltaPlans:
         view = prepared.materialize(document)
         plan = view.plan
         assert plan.classification == LINEAR
-        assert plan.generated is not None
-        assert plan.program is plan.generated
         before = plan.generated.calls
         view.apply(Delta.insertion(NATURAL, random_tree(NATURAL, 2, 2, seed=32)))
         assert plan.generated.calls == before + 1
@@ -319,15 +317,16 @@ class TestCodegenDeltaPlans:
         assert view.stats().recomputes == 0
         assert isinstance(view.plan.compiled_diff, CodegenProgram)
 
-    def test_srt_delta_plans_fall_back_to_closures(self):
+    def test_srt_delta_plans_execute_generated_code(self):
         document = random_forest(NATURAL, num_trees=4, depth=3, fanout=2, seed=34)
         prepared = prepare_query(LINEAR_QUERY, NATURAL, {"S": document})
         view = prepared.materialize(document)
         plan = view.plan
         assert plan.classification == LINEAR
-        assert plan.generated is None  # //c keeps srt inside the delta
-        assert plan.program is plan.compiled
+        assert "def _srt" in plan.generated.source  # //c keeps srt inside the delta
+        before = plan.generated.calls
         view.apply(Delta.insertion(NATURAL, random_tree(NATURAL, 2, 2, seed=35)))
+        assert plan.generated.calls == before + 1
         assert view.result == prepared.evaluate({"S": view.document})
         assert view.stats().incremental == 1
 
@@ -336,7 +335,6 @@ class TestCodegenDeltaPlans:
         prepared = prepare_query("($S)/*/*", NATURAL, {"S": document})
         view = prepared.materialize(document)
         plan = view.plan
-        assert plan.generated is not None
         before = plan.generated.calls
         deltas = [
             Delta.insertion(NATURAL, random_tree(NATURAL, 2, 2, seed=40 + i))

@@ -4,17 +4,17 @@
 forest variable ``$S``, type-directed so every generated program is well
 typed: label positions get labels, tree positions trees, collection positions
 K-sets of trees (plus an occasional K-set of labels for variety).  The
-generator covers every straight-line node kind — singleton, union, scaling by
-semiring sample elements, big unions with shadowing-prone variable reuse,
+generator covers every node kind — singleton, union, scaling by semiring
+sample elements, big unions with shadowing-prone variable reuse,
 conditionals, pairs with projections, tree construction/destructuring, lets —
-and, with low probability, ``srt`` structural recursion, which the codegen
-evaluator must *decline* (and the engine must transparently serve through the
-closure fallback) rather than miscompile.
+and ``srt`` structural recursion (rare by default, frequent with
+``srt_probability=0.5``), whose generated recursive function and memo tables
+the codegen evaluator must get exactly right.
 
 The generated expressions are the input of ``tests/nrc/test_codegen_fuzz.py``:
-every expression is evaluated by the reference interpreter, the closure
-evaluator and (when generation succeeds) the source-codegen evaluator, and
-the three results are asserted exactly equal for every registry semiring.
+every expression is evaluated by the reference interpreter and by the
+source-codegen evaluator, and the two results are asserted exactly equal for
+every registry semiring.
 """
 
 from __future__ import annotations

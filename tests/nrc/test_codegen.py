@@ -1,11 +1,12 @@
 """Unit coverage for the source-codegen evaluator (:mod:`repro.nrc.codegen`).
 
-The exhaustive equivalence checks live in ``test_compile_eval_equiv.py``
-(corpus x registry semirings, now including ``nrc-codegen``) and
-``test_codegen_fuzz.py`` (randomized expressions); this file covers the
-mechanics: the decline gates and their reasons, scoping/shadowing in the
-generated locals, frame semantics (unbound-at-access), inline-op template
-validation, and the engine-level wiring (default method, ``program_for``,
+The exhaustive equivalence checks live in ``test_evaluator_equiv.py``
+(corpus x registry semirings) and ``test_codegen_fuzz.py`` (randomized
+expressions); this file covers the mechanics: coverage of the edge cases
+codegen emits conservatively (``srt``, non-canonical and trivial semirings,
+foreign scalars), the generated ``srt`` memo semantics, scoping/shadowing
+in the generated locals, frame semantics (unbound-at-access), inline-op
+template validation, and the engine-level wiring (default method,
 execution counters).
 """
 
@@ -32,13 +33,8 @@ from repro.nrc.ast import (
     Union,
     Var,
 )
-from repro.nrc.codegen import (
-    CodegenProgram,
-    CodegenUnsupported,
-    compile_codegen,
-    codegen_stats,
-    try_compile_codegen,
-)
+from repro.nrc import codegen
+from repro.nrc.codegen import CodegenProgram, compile_codegen, codegen_stats
 from repro.nrc.eval import evaluate as evaluate_interp
 from repro.semirings import BOOLEAN, NATURAL, PROVENANCE
 from repro.semirings.base import Semiring
@@ -129,8 +125,7 @@ def test_scale_annihilation_and_units(semiring_name):
 
 
 def test_foreign_collection_raises_semiring_error():
-    # A standalone program (no closure fallback attached) raises, exactly
-    # like KSet's own algebra would.
+    # The interpreter rerun raises, exactly like KSet's own algebra would.
     expr = BigUnion("x", Var("S"), Singleton(Var("x")))
     program = compile_codegen(expr, NATURAL)
     foreign = KSet.from_values(BOOLEAN, ["a"])
@@ -138,81 +133,229 @@ def test_foreign_collection_raises_semiring_error():
         program.evaluate({"S": foreign})
 
 
-def test_foreign_collection_engine_parity_via_closure_fallback():
-    """The engine contract: nrc-codegen agrees with nrc even on runtime
-    foreign-semiring collections, where the closure evaluator's bespoke
-    behavior (big unions delegate to the collection's semiring) defines the
-    result — the generated program bails out and reruns the closures."""
+def test_foreign_collection_engine_parity_via_interpreter():
+    """On runtime foreign-semiring collections the generated program bails
+    out and reruns the Figure 8 interpreter on its (simplified) plan, whose
+    behaviour (big unions bind in the collection's semiring) defines the
+    result — on the single-call path and on the batch template path alike.
+
+    ``method="nrc-interp"`` runs the *unsimplified* plan, whose singleton
+    wrappers mix the two semirings, so there it raises instead."""
     document = random_forest(NATURAL, num_trees=2, depth=3, fanout=2, seed=41)
     prepared = prepare_query("($S)/*", NATURAL, {"S": document})
-    assert prepared.generated is not None
     foreign = random_forest(BOOLEAN, num_trees=2, depth=3, fanout=2, seed=41)
-    via_closures = prepared.evaluate({"S": foreign}, method="nrc")
-    assert via_closures.semiring == BOOLEAN
-    assert prepared.evaluate({"S": foreign}, method="nrc-codegen") == via_closures
-    assert prepared.evaluate({"S": foreign}) == via_closures
-    # The batch template path re-dispatches foreign documents the same way.
+
+    def interp(doc):
+        return evaluate_interp(prepared.nrc_simplified, NATURAL, {"S": doc})
+
+    via_interp = interp(foreign)
+    assert via_interp.semiring == BOOLEAN
+    before = prepared.generated.calls
+    assert prepared.evaluate({"S": foreign}, method="nrc-codegen") == via_interp
+    assert prepared.evaluate({"S": foreign}) == via_interp
+    assert prepared.generated.calls == before  # the interpreter served both
+    with pytest.raises(SemiringError):
+        prepared.evaluate({"S": foreign}, method="nrc-interp")
     from repro.exec import BatchEvaluator
 
     mixed = [document, foreign, document]
     batched = BatchEvaluator(prepared).evaluate_many(mixed)
-    assert batched == [prepared.evaluate({"S": doc}, method="nrc") for doc in mixed]
+    assert batched == [interp(doc) for doc in mixed]
+    assert batched[0] == prepared.evaluate({"S": document}, method="nrc-interp")
 
 
 # ---------------------------------------------------------------------------
-# Decline gates
+# Former decline gates: every case is generated and equals the interpreter
 # ---------------------------------------------------------------------------
-def test_declines_srt_with_reason():
-    expr = Srt("l", "acc", Singleton(TreeExpr(Var("l"), BigUnion("z", Var("acc"), Var("z")))), Var("t"))
-    program, reason = try_compile_codegen(Kids(Var("t")), NATURAL)
-    assert program is not None and reason is None
-    program, reason = try_compile_codegen(expr, NATURAL)
-    assert program is None
-    assert "srt" in reason
-    with pytest.raises(CodegenUnsupported, match="srt"):
-        compile_codegen(expr, NATURAL)
+def _srt_rebuild(target):
+    """(srt(l, acc). {Tree(l, U(z in acc) z)}) target — rebuilds the tree."""
+    return Srt("l", "acc", Singleton(TreeExpr(Var("l"), BigUnion("z", Var("acc"), Var("z")))), target)
 
 
-def test_declines_non_canonical_semiring():
-    class Sloppy(Semiring):
-        name = "sloppy-test"
-        ops_preserve_normal_form = False
-
-        @property
-        def zero(self):
-            return 0
-
-        @property
-        def one(self):
-            return 1
-
-        def add(self, a, b):
-            return a + b
-
-        def mul(self, a, b):
-            return a * b
-
-        def is_valid(self, a):
-            return isinstance(a, int) and a >= 0
-
-    program, reason = try_compile_codegen(Singleton(LabelLit("a")), Sloppy())
-    assert program is None
-    assert "canonical form" in reason
+def test_generates_srt():
+    tree = _sample_tree(NATURAL)
+    expr = _srt_rebuild(Var("t"))
+    program = compile_codegen(expr, NATURAL)
+    assert "def _srt" in program.source
+    env = {"t": tree}
+    assert program.evaluate(env) == evaluate_interp(expr, NATURAL, env)
+    assert program.evaluate(env) == KSet.singleton(NATURAL, tree)
 
 
-def test_declines_foreign_scalar():
-    program, reason = try_compile_codegen(Scale(object(), Var("S")), NATURAL)
-    assert program is None
-    assert "foreign" in reason
+class _Sloppy(Semiring):
+    """N whose operations do not promise canonical form."""
+
+    name = "sloppy-test"
+    ops_preserve_normal_form = False
+
+    @property
+    def zero(self):
+        return 0
+
+    @property
+    def one(self):
+        return 1
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+    def is_valid(self, a):
+        return isinstance(a, int) and a >= 0
+
+
+def test_generates_for_non_canonical_semiring():
+    semiring = _Sloppy()
+    tree = _sample_tree(semiring)
+    source = KSet(semiring, [(tree, 2), (leaf(semiring, "c"), 3)])
+    expr = Union(
+        Singleton(LabelLit("a")),
+        BigUnion("x", Var("S"), Scale(2, Kids(Var("x")))),
+    )
+    program = compile_codegen(expr, semiring)
+    assert "_KSet(_SR, " in program.source and "_from_normalized(_SR, {_v" not in program.source
+    env = {"S": source}
+    assert program.evaluate(env) == evaluate_interp(expr, semiring, env)
+    rebuilt = compile_codegen(_srt_rebuild(Var("t")), semiring)
+    assert rebuilt.evaluate({"t": tree}) == evaluate_interp(_srt_rebuild(Var("t")), semiring, {"t": tree})
+
+
+class _Trivial(Semiring):
+    """The one-element semiring, where 1 == 0."""
+
+    name = "trivial-test"
+
+    @property
+    def zero(self):
+        return 0
+
+    @property
+    def one(self):
+        return 0
+
+    def add(self, a, b):
+        return 0
+
+    def mul(self, a, b):
+        return 0
+
+    def is_valid(self, a):
+        return a == 0
+
+
+def test_generates_for_trivial_semiring():
+    """1 == 0: a singleton evaluates its member, then is empty."""
+    trivial = _Trivial()
+    expr = Union(
+        Singleton(Tag(Var("t"))),
+        BigUnion("x", Kids(Var("t")), Singleton(Var("x"))),
+    )
+    tree = _sample_tree(trivial)
+    env = {"t": tree}
+    program = compile_codegen(expr, trivial)
+    assert program.evaluate(env) == evaluate_interp(expr, trivial, env) == KSet.empty(trivial)
+    # The member is still evaluated: a bad member raises as in the interpreter.
+    with pytest.raises(NRCEvalError, match="tag"):
+        compile_codegen(Singleton(Tag(LabelLit("a"))), trivial).evaluate({})
+    rebuilt = _srt_rebuild(Var("t"))
+    assert compile_codegen(rebuilt, trivial).evaluate(env) == evaluate_interp(rebuilt, trivial, env)
+
+
+def test_generates_foreign_scalar_as_bound_scale_call():
+    expr = Scale(object(), Var("S"))
+    program = compile_codegen(expr, NATURAL)
+    assert ".scale(" in program.source
+    source = KSet.from_values(NATURAL, ["a"])
+    with pytest.raises(Exception) as generated_error:
+        program.evaluate({"S": source})
+    with pytest.raises(Exception) as interp_error:
+        evaluate_interp(expr, NATURAL, {"S": source})
+    assert type(generated_error.value) is type(interp_error.value)
+    # A scalar foreign to the compile-time semiring but valid in the
+    # collection's own semiring scales that collection, as in the interpreter.
+    why = get_semiring("why-provenance")
+    scaled = Scale(list(why.sample_elements())[2], Var("S"))
+    env = {"S": KSet.from_values(why, ["a"])}
+    assert compile_codegen(scaled, NATURAL).evaluate(env) == evaluate_interp(scaled, NATURAL, env)
 
 
 def test_counters_track_generation():
     before = codegen_stats()
     compile_codegen(Singleton(LabelLit("a")), NATURAL)
-    try_compile_codegen(Srt("l", "a", Var("a"), Var("t")), NATURAL)
+    compile_codegen(Srt("l", "a", Var("a"), Var("t")), NATURAL)
     after = codegen_stats()
-    assert after["generated"] == before["generated"] + 1
-    assert after["declined"] == before["declined"] + 1
+    assert after == {"generated": before["generated"] + 2}
+
+
+# ---------------------------------------------------------------------------
+# Generated srt semantics
+# ---------------------------------------------------------------------------
+def _counting_ticks(monkeypatch):
+    """Count the per-node limit checks of generated srt recursions."""
+    visits = [0]
+
+    def tick(rows=None):
+        if rows is None:
+            visits[0] += 1
+
+    monkeypatch.setattr(codegen, "check_tick", tick)
+    return visits
+
+
+def test_closed_srt_memo_survives_evaluations_and_resets_past_limit(monkeypatch):
+    visits = _counting_ticks(monkeypatch)
+    tree = _sample_tree(NATURAL)  # 4 distinct subtrees: root, n, a, b
+    expr = _srt_rebuild(Var("t"))
+    program = compile_codegen(expr, NATURAL)
+    env = {"t": tree}
+    expected = evaluate_interp(expr, NATURAL, env)
+    assert program.evaluate(env) == expected
+    assert visits[0] == 4  # the shared leaf `a` is computed once
+    assert program.evaluate(env) == expected
+    assert visits[0] == 4  # second evaluation: every subtree memoized
+    # Past the limit, the memo is cleared at the next application.
+    monkeypatch.setattr(codegen, "_SRT_MEMO_LIMIT", 2)
+    limited = compile_codegen(expr, NATURAL)
+    visits[0] = 0
+    assert limited.evaluate(env) == expected
+    assert limited.evaluate(env) == expected
+    assert visits[0] == 8
+
+
+def test_open_srt_body_sees_the_outer_binding():
+    """Per-application memo: a subtree shared by two applications is
+    recomputed under each one's binding of the outer variable."""
+    semiring = NATURAL
+    shared = UTree("n", forest(semiring, leaf(semiring, "a")))
+    first = UTree("p", forest(semiring, shared))
+    second = UTree("q", forest(semiring, shared))
+    expr = BigUnion(
+        "x",
+        Var("S"),
+        Srt(
+            "l",
+            "acc",
+            Union(
+                Singleton(PairExpr(Tag(Var("x")), Var("l"))),
+                BigUnion("z", Var("acc"), Var("z")),
+            ),
+            Var("x"),
+        ),
+    )
+    env = {"S": forest(semiring, first, second)}
+    program = compile_codegen(expr, semiring)
+    result = program.evaluate(env)
+    assert result == evaluate_interp(expr, semiring, env)
+    assert ("q", "a") in {(pair.first, pair.second) for pair in result}
+    for extra_label in ("p", "q"):
+        extra = leaf(semiring, extra_label)
+        rooted = Srt("l", "acc", Union(Singleton(Var("extra")), Var("acc")), Var("t"))
+        bindings = {"t": _sample_tree(semiring), "extra": extra}
+        generated = compile_codegen(rooted, semiring).evaluate(bindings)
+        assert generated == evaluate_interp(rooted, semiring, bindings)
+        assert extra in generated
 
 
 # ---------------------------------------------------------------------------
@@ -233,34 +376,61 @@ def test_bad_inline_template_falls_back_to_bound_ops():
     assert "_ADD(" in program.source and " - " not in program.source
 
 
+def test_bound_call_weights_multiply_only_for_contributing_members():
+    """Without an inline mul template, a loop level's weight is multiplied
+    out on first use: members a label test filters out cost nothing."""
+
+    class CountingNatural(type(NATURAL)):
+        name = "natural"  # same identity so KSets interoperate
+        codegen_mul = None
+        calls = 0
+
+        def mul(self, a, b):
+            CountingNatural.calls += 1
+            return a * b
+
+    semiring = CountingNatural()
+
+    def node(label, *kids):
+        return UTree(label, KSet(semiring, [(kid, 2) for kid in kids]))
+
+    source = KSet(semiring, [(node("p", node("a"), node("c")), 2), (node("q", node("a"), node("b")), 2)])
+    expr = BigUnion(
+        "x",
+        Var("S"),
+        BigUnion("y", Kids(Var("x")), IfEq(Tag(Var("y")), LabelLit("c"), Singleton(Var("y")), EmptySet())),
+    )
+    program = compile_codegen(expr, semiring)
+    CountingNatural.calls = 0
+    result = program.evaluate({"S": source})
+    assert CountingNatural.calls == 1  # only (p, c) contributes; 4 products if eager
+    assert result == evaluate_interp(expr, semiring, {"S": source})
+    assert result.annotation(node("c")) == 4
+
+
 # ---------------------------------------------------------------------------
 # Engine wiring
 # ---------------------------------------------------------------------------
 def test_prepared_query_defaults_to_generated_program():
     document = random_forest(NATURAL, num_trees=2, depth=3, fanout=2, seed=3)
     prepared = prepare_query("element out { $S/*/* }", NATURAL, {"S": document})
-    assert prepared.generated is not None
-    assert prepared.codegen_reason is None
-    assert prepared.program is prepared.generated
-    assert prepared.program_for("nrc") is prepared.compiled
-    assert prepared.program_for("nrc-codegen") is prepared.generated
+    assert isinstance(prepared.generated, CodegenProgram)
     before = prepared.generated.calls
     env = {"S": document}
-    assert prepared.evaluate(env) == prepared.evaluate(env, method="nrc")
-    assert prepared.generated.calls > before
+    assert prepared.evaluate(env) == prepared.evaluate(env, method="nrc-interp")
+    assert prepared.generated.calls == before + 1
 
 
-def test_prepared_query_falls_back_on_srt_plans():
+def test_prepared_query_generates_srt_plans():
     document = random_forest(NATURAL, num_trees=2, depth=3, fanout=2, seed=3)
     prepared = prepare_query("element out { $S//c }", NATURAL, {"S": document})
-    assert prepared.generated is None
-    assert "srt" in prepared.codegen_reason
-    assert prepared.program is prepared.compiled
+    assert "def _srt" in prepared.generated.source
     env = {"S": document}
-    # nrc-codegen never errors: it serves through the closure fallback.
+    before = prepared.generated.calls
     assert prepared.evaluate(env, method="nrc-codegen") == prepared.evaluate(
-        env, method="nrc"
+        env, method="nrc-interp"
     )
+    assert prepared.generated.calls == before + 1
 
 
 @pytest.mark.parametrize("semiring_name", available_semirings())
@@ -271,17 +441,17 @@ def test_engine_codegen_equals_all_methods(semiring_name):
     prepared = prepare_query("element out { $S/*/* }", semiring, env)
     results = {
         method: prepared.evaluate(env, method=method)
-        for method in ("nrc-codegen", "nrc", "nrc-interp", "direct")
+        for method in ("nrc-codegen", "nrc-interp", "direct")
     }
-    assert results["nrc-codegen"] == results["nrc"] == results["nrc-interp"]
+    assert results["nrc-codegen"] == results["nrc-interp"]
     assert results["nrc-codegen"] == results["direct"]
 
 
 def test_generated_program_is_picklable_free():
-    """The program exposes the same frame protocol as CompiledExpr."""
+    """The program exposes the frame protocol the batch template path drives."""
     document = random_forest(NATURAL, num_trees=2, depth=2, fanout=2, seed=5)
     prepared = prepare_query("($S)/*", NATURAL, {"S": document})
     generated = prepared.generated
     assert isinstance(generated, CodegenProgram)
     assert generated._num_slots == len(generated._free_slots) == 1
-    assert set(generated._free_slots) == set(prepared.compiled.free_variables)
+    assert set(generated._free_slots) == set(generated.free_variables) == {"S"}

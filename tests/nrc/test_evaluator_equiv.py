@@ -1,6 +1,6 @@
-"""Equivalence of the closure-compiled evaluator with the reference semantics.
+"""Equivalence of the production evaluator with the reference semantics.
 
-The compiled evaluator (:mod:`repro.nrc.compile_eval`) must agree with the
+The source-codegen evaluator (:mod:`repro.nrc.codegen`) must agree with the
 Figure 8 interpreter (:mod:`repro.nrc.eval`) — and, through the engine, with
 the independent direct interpreter (:mod:`repro.uxquery.direct`) — on every
 well-typed program.  This suite checks that property across:
@@ -10,10 +10,10 @@ well-typed program.  This suite checks that property across:
 * every semiring in the registry (so the trusted fast-path constructors are
   exercised for idempotent, annihilating and canonical-form semirings alike),
 * hand-built NRC expressions covering every AST node, including the binder
-  forms whose slot allocation the compiler must get right (shadowing, reuse
-  of a variable name in sibling scopes, srt over shared subtrees),
-* repeated evaluation of one compiled program (persistent srt memo tables and
-  frame reuse must not leak state between calls).
+  forms whose local allocation the generator must get right (shadowing,
+  reuse of a variable name in sibling scopes, srt over shared subtrees),
+* repeated evaluation of one generated program (persistent srt memo tables
+  and frame reuse must not leak state between calls).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from repro.nrc.ast import (
     Union,
     Var,
 )
-from repro.nrc.compile_eval import compile_expr, evaluate_compiled
+from repro.nrc.codegen import compile_codegen
 from repro.nrc.eval import evaluate as evaluate_interp
 from repro.semirings import NATURAL, PROVENANCE
 from repro.semirings.registry import available_semirings, get_semiring
@@ -47,19 +47,22 @@ from repro.uxml.tree import UTree, forest, leaf
 from repro.uxquery import prepare_query
 from repro.workloads import random_forest, random_query, standard_query_suite
 
-ALL_METHODS = ("nrc-codegen", "nrc", "nrc-interp", "direct")
+ALL_METHODS = ("nrc-codegen", "nrc-interp", "direct")
+
+
+def _evaluate_generated(expr, semiring, env):
+    return compile_codegen(expr, semiring).evaluate(env)
 
 
 def _assert_all_methods_agree(query, semiring, env):
     prepared = prepare_query(query, semiring, env)
     results = {method: prepared.evaluate(env, method=method) for method in ALL_METHODS}
-    assert results["nrc"] == results["nrc-interp"], "compiled != interpreter"
-    assert results["nrc"] == results["direct"], "compiled != direct"
-    assert results["nrc-codegen"] == results["nrc"], "codegen != compiled"
+    assert results["nrc-codegen"] == results["nrc-interp"], "codegen != interpreter"
+    assert results["nrc-codegen"] == results["direct"], "codegen != direct"
     # Re-evaluating the same prepared query must be stable (memo tables and
     # frame slots must not leak state between calls).
-    assert prepared.evaluate(env) == results["nrc"]
-    return results["nrc"]
+    assert prepared.evaluate(env) == results["nrc-codegen"]
+    return results["nrc-codegen"]
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +124,9 @@ def test_node_coverage_expression(semiring_name):
     )
     env = {"input": tree}
     interpreted = evaluate_interp(expr, semiring, env)
-    compiled = compile_expr(expr, semiring)
-    assert compiled.evaluate(env) == interpreted
-    assert compiled.evaluate(env) == interpreted  # second call: no state leak
+    program = compile_codegen(expr, semiring)
+    assert program.evaluate(env) == interpreted
+    assert program.evaluate(env) == interpreted  # second call: no state leak
 
 
 @pytest.mark.parametrize("semiring_name", available_semirings())
@@ -136,7 +139,7 @@ def test_srt_expression(semiring_name):
     expr = Srt("l", "acc", TreeExpr(Var("l"), Var("acc")), Var("input"))
     env = {"input": tree}
     interpreted = evaluate_interp(expr, semiring, env)
-    program = compile_expr(expr, semiring)
+    program = compile_codegen(expr, semiring)
     assert program.evaluate(env) == interpreted == tree
     assert program.evaluate(env) == tree
 
@@ -155,23 +158,23 @@ def test_srt_open_body_uses_outer_binding():
         extra = leaf(semiring, extra_label)
         env = {"input": tree, "extra": extra}
         interpreted = evaluate_interp(expr, semiring, env)
-        compiled = evaluate_compiled(expr, semiring, env)
-        assert compiled == interpreted
-        assert extra in compiled
+        generated = _evaluate_generated(expr, semiring, env)
+        assert generated == interpreted
+        assert extra in generated
 
 
 def test_variable_shadowing_and_sibling_scopes():
     semiring = NATURAL
     source = KSet.from_values(semiring, ["x", "y"])
     # The same variable name bound by nested and by sibling binders: each
-    # binder must get its own slot.
+    # binder must get its own local.
     expr = Union(
         BigUnion("v", Var("S"), Let("v", LabelLit("shadowed"), Singleton(Var("v")))),
         BigUnion("v", Var("S"), Singleton(Var("v"))),
     )
     env = {"S": source}
     interpreted = evaluate_interp(expr, semiring, env)
-    assert evaluate_compiled(expr, semiring, env) == interpreted
+    assert _evaluate_generated(expr, semiring, env) == interpreted
     assert interpreted.annotation("shadowed") == 2
     assert interpreted.annotation("x") == 1
 
@@ -180,14 +183,14 @@ def test_unbound_variable_raises_on_access_only():
     semiring = NATURAL
     # The unbound branch is never taken, so no error (as in the interpreter).
     guarded = IfEq(LabelLit("a"), LabelLit("a"), Singleton(LabelLit("ok")), Singleton(Var("missing")))
-    assert evaluate_compiled(guarded, semiring, {}) == evaluate_interp(guarded, semiring, {})
+    assert _evaluate_generated(guarded, semiring, {}) == evaluate_interp(guarded, semiring, {})
     with pytest.raises(NRCEvalError):
-        evaluate_compiled(Var("missing"), semiring, {})
+        _evaluate_generated(Var("missing"), semiring, {})
 
 
-def test_compiled_expr_reports_free_variables():
+def test_generated_program_reports_free_variables():
     expr = BigUnion("x", Var("S"), Singleton(PairExpr(Var("x"), Var("T"))))
-    program = compile_expr(expr, NATURAL)
+    program = compile_codegen(expr, NATURAL)
     assert program.free_variables == {"S", "T"}
 
 
@@ -201,4 +204,4 @@ def test_scale_annihilation_and_units(semiring_name):
     for scalar in samples:
         expr = Scale(scalar, Var("S"))
         env = {"S": source}
-        assert evaluate_compiled(expr, semiring, env) == evaluate_interp(expr, semiring, env)
+        assert _evaluate_generated(expr, semiring, env) == evaluate_interp(expr, semiring, env)

@@ -1,9 +1,9 @@
-"""Limit semantics across the three evaluators (satellite of the resilience PR).
+"""Limit semantics across the evaluators.
 
 One query + one :class:`EvalLimits` must behave identically under
-``nrc-interp``, ``nrc`` and ``nrc-codegen``: the same typed error when a
-limit fires, the same (unlimited-equal) result when it does not — the
-three-evaluator equivalence contract extended to guardrails.
+``nrc-interp`` and ``nrc-codegen``: the same typed error when a limit fires,
+the same (unlimited-equal) result when it does not — the evaluator
+equivalence contract extended to guardrails.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from repro.semirings.registry import standard_semirings
 from repro.uxquery import prepare_query
 from repro.workloads import random_forest
 
-METHODS = ("nrc-interp", "nrc", "nrc-codegen")
+METHODS = ("nrc-interp", "nrc-codegen")
 
-#: A straight-line query (codegen generates for it) and an srt query
-#: (codegen declines, closure fallback serves it) — both fan out enough
-#: rows that tiny budgets fire in every evaluator's loop.
+#: A straight-line query (fused loops) and an srt query (a generated
+#: recursive function with a per-node check) — both fan out enough rows
+#: that tiny budgets fire in every evaluator's loop.
 FLAT_QUERY = "($S)/*/*"
 SRT_QUERY = "($S)//c"
 
@@ -33,6 +33,12 @@ def _prepared(query, semiring, num_trees=4):
     return prepared, {"S": forest}
 
 
+def test_srt_query_runs_generated_recursion():
+    prepared, _env = _prepared(SRT_QUERY, NATURAL)
+    assert "def _srt" in prepared.generated.source
+    assert "_TICK()" in prepared.generated.source
+
+
 class TestTimeoutEquivalence:
     @pytest.mark.parametrize("query", [FLAT_QUERY, SRT_QUERY])
     @pytest.mark.parametrize("method", METHODS)
@@ -41,10 +47,11 @@ class TestTimeoutEquivalence:
         with pytest.raises(QueryTimeoutError):
             prepared.evaluate(env, method=method, limits=EvalLimits(timeout_s=0))
 
+    @pytest.mark.parametrize("query", [FLAT_QUERY, SRT_QUERY])
     @pytest.mark.parametrize("method", METHODS)
-    def test_timeout_fires_on_every_registry_semiring(self, method):
+    def test_timeout_fires_on_every_registry_semiring(self, query, method):
         for semiring in standard_semirings():
-            prepared, env = _prepared(FLAT_QUERY, semiring, num_trees=2)
+            prepared, env = _prepared(query, semiring, num_trees=2)
             with pytest.raises(QueryTimeoutError):
                 prepared.evaluate(env, method=method, limits=EvalLimits(timeout_s=0))
 
@@ -59,10 +66,11 @@ class TestRowBudgetEquivalence:
         with pytest.raises(BudgetExceededError):
             prepared.evaluate(env, method=method, limits=EvalLimits(max_rows=1))
 
+    @pytest.mark.parametrize("query", [FLAT_QUERY, SRT_QUERY])
     @pytest.mark.parametrize("semiring", [BOOLEAN, NATURAL, PROVENANCE, TROPICAL])
     @pytest.mark.parametrize("method", METHODS)
-    def test_budget_errors_agree_across_semirings(self, semiring, method):
-        prepared, env = _prepared(FLAT_QUERY, semiring)
+    def test_budget_errors_agree_across_semirings(self, query, semiring, method):
+        prepared, env = _prepared(query, semiring)
         with pytest.raises(BudgetExceededError):
             prepared.evaluate(env, method=method, limits=EvalLimits(max_rows=1))
 

@@ -22,9 +22,9 @@ def _clean_ring():
 
 class TestRingSemantics:
     def test_emit_returns_the_recorded_event(self):
-        event = events.emit("codegen.decline", reason="test", semiring="N")
-        assert event["kind"] == "codegen.decline"
-        assert event["attrs"] == {"reason": "test", "semiring": "N"}
+        event = events.emit("ivm.recompute", reason="test", classification="N")
+        assert event["kind"] == "ivm.recompute"
+        assert event["attrs"] == {"reason": "test", "classification": "N"}
         assert events.recent_events()[-1] == event
 
     def test_events_come_back_oldest_first_with_monotonic_seq(self):
@@ -132,7 +132,7 @@ class TestConfiguration:
         # Head-sampled-out traces record no spans, but events inside them
         # keep the id — tail promotion can later make the trace visible.
         with tracing(sample_rate=0.0) as tracer:
-            event = events.emit("codegen.decline", reason="test", semiring="N")
+            event = events.emit("ivm.recompute", reason="test")
         assert event["trace_id"] == tracer.trace_id
 
 
@@ -234,20 +234,6 @@ class TestWiredSites:
         recomputes = events.recent_events(kind="ivm.recompute")
         assert recomputes
         assert recomputes[-1]["attrs"]["reason"] == "non-incremental plan"
-
-    def test_codegen_decline_is_recorded(self):
-        from repro.semirings import NATURAL
-        from repro.uxquery import prepare_query
-        from repro.workloads import random_forest
-
-        document = random_forest(NATURAL, num_trees=2, depth=3, fanout=2, seed=3)
-        # A unique surface string sidesteps the process-wide plan cache.
-        prepared = prepare_query("element evdecl { $S//c }", NATURAL, {"S": document})
-        assert prepared.generated is None
-        declines = events.recent_events(kind="codegen.decline")
-        assert declines
-        assert "srt" in declines[-1]["attrs"]["reason"]
-        assert declines[-1]["attrs"]["semiring"] == NATURAL.name
 
     def test_pushdown_fallback_is_recorded(self):
         from repro.semirings import NATURAL

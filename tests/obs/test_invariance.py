@@ -1,9 +1,9 @@
 """Instrumentation invariance: arming tracing/profiling must not change results.
 
-Every registry semiring, all three evaluators: the K-annotated result with
+Every registry semiring, both NRC evaluators: the K-annotated result with
 tracing armed and with profiling armed is byte-identical (same value, same
-paper notation) to the uninstrumented run, and the three-evaluator
-equivalence holds while instrumented.
+paper notation) to the uninstrumented run, and the evaluator equivalence
+holds while instrumented.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from repro.uxml import to_paper_notation
 from repro.uxquery import prepare_query
 from repro.workloads import random_forest
 
-METHODS = ("nrc-codegen", "nrc", "nrc-interp")
+METHODS = ("nrc-codegen", "nrc-interp")
 QUERY = "($S)/*/*"
 
 

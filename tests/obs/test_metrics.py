@@ -307,7 +307,6 @@ class TestDefaultRegistryIntegration:
             "repro_store_operations_total",
             "repro_worker_events_total",
             "repro_codegen_generated_total",
-            "repro_codegen_declined_total",
             "repro_codegen_calls_total",
             "repro_slow_queries_total",
         ):

@@ -1,4 +1,4 @@
-"""Per-operator profiling under all three evaluators + the slow-query log."""
+"""Per-operator profiling under both NRC evaluators + the slow-query log."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from repro.semirings import NATURAL, PROVENANCE
 from repro.uxquery import prepare_query
 from repro.workloads import random_forest
 
-METHODS = ("nrc-codegen", "nrc", "nrc-interp")
+METHODS = ("nrc-codegen", "nrc-interp")
 
 
 @pytest.fixture
@@ -60,7 +60,6 @@ class TestProfileEvaluate:
     def test_codegen_profile_marks_fused_loops(self, forest):
         prepared = prepare_query("($S)/*/*", NATURAL, {"S": forest})
         _result, report = profile_evaluate(prepared, {"S": forest}, method="nrc-codegen")
-        assert report.generated is True
         payload = report.to_dict()
 
         def flatten(nodes):
@@ -73,15 +72,24 @@ class TestProfileEvaluate:
         assert any(op["calls"] > 0 for op in fused)  # iteration counts
         assert "fused" in report.render()
 
-    def test_codegen_decline_falls_back_with_reason(self, forest):
+    def test_codegen_profiles_generated_srt_operators(self, forest):
         prepared = prepare_query("($S)//b", NATURAL, {"S": forest})
-        assert prepared.generated is None  # srt is outside the codegen fragment
-        expected = prepared.evaluate({"S": forest}, method="nrc-codegen")
+        expected = prepared.evaluate({"S": forest}, method="nrc-interp")
         result, report = profile_evaluate(prepared, {"S": forest}, method="nrc-codegen")
         assert result == expected
-        assert report.generated is False
-        assert "srt" in (report.fallback_reason or "")
-        assert "declined" in report.render()
+
+        def flatten(nodes):
+            for node in nodes:
+                yield node
+                yield from flatten(node["children"])
+
+        ops = list(flatten(report.to_dict()["operators"]))
+        srt = [op for op in ops if op["op"] == "Srt"]
+        assert srt and all(op["calls"] > 0 for op in srt)
+        # Operators inside the recursion run once per visited subtree.
+        body = [op for root in srt for op in flatten(root["children"])]
+        assert any(op["calls"] > srt[0]["calls"] for op in body if not op["fused"])
+        assert "declined" not in report.render()
 
     def test_profiling_never_touches_the_production_programs(self, forest):
         document = random_forest(PROVENANCE, 2, 2, 2, seed=3)

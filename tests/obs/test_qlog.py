@@ -149,7 +149,7 @@ class TestResultDigest:
 class TestRecording:
     def test_disarmed_by_default_and_record_is_a_noop(self):
         assert not qlog.is_recording()
-        assert qlog.record(_fake_prepared(), "evaluate", "nrc", 0.001) is None
+        assert qlog.record(_fake_prepared(), "evaluate", "nrc-codegen", 0.001) is None
         assert qlog.recent_records() == []
 
     def test_armed_engine_evaluate_records_one_entry(self):
@@ -294,9 +294,9 @@ class TestOneRecordPerUserCall:
             qlog.clear_records()
             with qlog.suppress():
                 assert qlog.suppressed()
-                assert qlog.record(_fake_prepared(), "evaluate", "nrc", 0.001) is None
+                assert qlog.record(_fake_prepared(), "evaluate", "nrc-codegen", 0.001) is None
             assert not qlog.suppressed()
-            assert qlog.record(_fake_prepared(), "evaluate", "nrc", 0.001) is not None
+            assert qlog.record(_fake_prepared(), "evaluate", "nrc-codegen", 0.001) is not None
         assert len(qlog.recent_records()) == 1
 
 
@@ -310,7 +310,7 @@ class TestRingAndRotation:
                 with ThreadPoolExecutor(max_workers=8) as pool:
                     list(
                         pool.map(
-                            lambda _: qlog.record(fake, "evaluate", "nrc", 0.0005),
+                            lambda _: qlog.record(fake, "evaluate", "nrc-codegen", 0.0005),
                             range(1000),
                         )
                     )
@@ -333,7 +333,7 @@ class TestRingAndRotation:
         )
         fake = _fake_prepared()
         for _ in range(100):
-            qlog.record(fake, "evaluate", "nrc", 0.0)
+            qlog.record(fake, "evaluate", "nrc-codegen", 0.0)
         qlog.refresh_qlog_config({})
         generations = [path, tmp_path / "cap.jsonl.1", tmp_path / "cap.jsonl.2"]
         assert generations[1].exists() and generations[2].exists()
@@ -361,7 +361,7 @@ class TestRingAndRotation:
         with ThreadPoolExecutor(max_workers=4) as pool:
             list(
                 pool.map(
-                    lambda _: qlog.record(fake, "evaluate", "nrc", 0.0005),
+                    lambda _: qlog.record(fake, "evaluate", "nrc-codegen", 0.0005),
                     range(200),
                 )
             )
@@ -408,7 +408,7 @@ class TestSignatureAccounting:
                 qlog.record(
                     _fake_prepared(signature=f"sig{index:013d}"),
                     "evaluate",
-                    "nrc",
+                    "nrc-codegen",
                     0.001,
                 )
         stats = qlog.signature_stats()
@@ -424,8 +424,8 @@ class TestSignatureAccounting:
     def test_signature_stats_sort_and_limit(self):
         with qlog.recording(True):
             for _ in range(3):
-                qlog.record(_fake_prepared("sigaaaaaaaaaaaaa"), "evaluate", "nrc", 0.001)
-            qlog.record(_fake_prepared("sigbbbbbbbbbbbbb"), "evaluate", "nrc", 0.1)
+                qlog.record(_fake_prepared("sigaaaaaaaaaaaaa"), "evaluate", "nrc-codegen", 0.001)
+            qlog.record(_fake_prepared("sigbbbbbbbbbbbbb"), "evaluate", "nrc-codegen", 0.1)
         by_count = qlog.signature_stats(sort="count")
         assert by_count[0]["signature"] == "sigaaaaaaaaaaaaa"
         assert by_count[0]["count"] == 3

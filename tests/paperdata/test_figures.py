@@ -29,7 +29,7 @@ from repro.semirings import CLEARANCE, PROVENANCE
 from repro.uxquery import evaluate_query
 
 
-@pytest.mark.parametrize("method", ["nrc", "direct"])
+@pytest.mark.parametrize("method", ["nrc-codegen", "direct"])
 class TestFigure1:
     def test_answer_children_match(self, method):
         answer = evaluate_query(figure1_query(), PROVENANCE, {"S": figure1_source()}, method=method)
@@ -42,7 +42,7 @@ class TestFigure1:
         assert dict(answer.children.items()) == dict(figure1_expected_children())
 
 
-@pytest.mark.parametrize("method", ["nrc", "direct"])
+@pytest.mark.parametrize("method", ["nrc-codegen", "direct"])
 class TestFigure4:
     def test_descendant_answer(self, method):
         answer = evaluate_query(figure4_query(), PROVENANCE, {"T": figure4_source()}, method=method)
@@ -60,7 +60,7 @@ class TestFigure5:
     def test_relational_algebra_answer(self):
         assert evaluate_algebra(figure5_algebra(), figure5_relations()) == figure5_expected_q()
 
-    @pytest.mark.parametrize("method", ["nrc", "direct"])
+    @pytest.mark.parametrize("method", ["nrc-codegen", "direct"])
     def test_uxquery_on_encoding_matches(self, method):
         answer = evaluate_query(
             figure5_uxquery(), PROVENANCE, {"d": figure5_source_uxml()}, method=method
@@ -74,7 +74,7 @@ class TestFigure5:
         assert forest_to_relation(answer, ("A", "C")) == figure5_expected_q()
 
 
-@pytest.mark.parametrize("method", ["nrc", "direct"])
+@pytest.mark.parametrize("method", ["nrc-codegen", "direct"])
 class TestFigure6:
     def test_extended_annotations_q1_to_q8(self, method):
         answer = evaluate_query(

@@ -32,7 +32,7 @@ def _base_run(stamp: str) -> dict:
         "generated_at": stamp,
         "quick": False,
         "speedups": [{"name": "figure1", "speedup": 10.0}],
-        "codegen": {"cases": [{"name": "chain", "speedup_codegen_vs_closure": 3.0}]},
+        "codegen": {"cases": [{"name": "chain", "speedup_codegen_vs_interpreter": 6.0}]},
         "exec": {"batch_throughput": {"speedup_vs_single_shot_loop": 4.0}},
         "ivm": {"speedup_maintain_vs_recompute": 20.0},
         "store": {
@@ -56,7 +56,7 @@ def _slowed(run: dict, factor: float) -> dict:
     """The same run with every speedup divided (and every ratio multiplied)."""
     slowed = json.loads(json.dumps(run))
     slowed["speedups"][0]["speedup"] /= factor
-    slowed["codegen"]["cases"][0]["speedup_codegen_vs_closure"] /= factor
+    slowed["codegen"]["cases"][0]["speedup_codegen_vs_interpreter"] /= factor
     slowed["exec"]["batch_throughput"]["speedup_vs_single_shot_loop"] /= factor
     slowed["ivm"]["speedup_maintain_vs_recompute"] /= factor
     slowed["store"]["pushdown"]["speedup_indexed_vs_scan"] /= factor
@@ -119,6 +119,28 @@ class TestCheckRegressions:
         ]
         _write_history(history, runs)
         assert regress.run_check(history_dir=history) == 0
+
+    def test_renamed_metric_is_skipped_not_judged(self, regress, tmp_path):
+        # Archived runs still carry the retired closure-relative codegen key;
+        # its successor has no baseline yet, so neither side is judged.
+        history = tmp_path / "BENCH_history"
+        old_runs = []
+        for day in (1, 2, 3):
+            run = _base_run(f"2026-01-0{day}T00:00:00+00:00")
+            run["codegen"] = {"cases": [{"name": "chain", "speedup_codegen_vs_closure": 3.0}]}
+            old_runs.append(run)
+        newest = _base_run("2026-01-04T00:00:00+00:00")
+        newest["codegen"]["cases"][0]["speedup_codegen_vs_interpreter"] = 0.5
+        _write_history(history, old_runs + [newest])
+        assert regress.run_check(history_dir=history) == 0
+        report = regress.check_regressions(regress.load_history(history, quick=False))
+        judged = {
+            record["metric"]
+            for kind in ("regressions", "improvements", "stable")
+            for record in report[kind]
+        }
+        assert "codegen_vs_interpreter/chain" not in judged
+        assert "speedups/figure1" in judged
 
     def test_mode_mismatch_is_excluded(self, regress, tmp_path):
         history = tmp_path / "BENCH_history"

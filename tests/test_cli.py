@@ -126,11 +126,12 @@ class TestCliExplain:
         assert "def _nrc_program(frame):" in output
         assert "_from_normalized" in output
 
-    def test_explain_reports_fallback_reason(self, capsys):
+    def test_explain_prints_generated_srt_recursion(self, capsys):
         assert main(["explain", "-q", "element out { $S//c }", "-k", "N"]) == 0
         output = capsys.readouterr().out
-        assert "closure fallback" in output
-        assert "srt" in output
+        assert "evaluator    : nrc-codegen" in output
+        assert "def _srt" in output
+        assert "declined" not in output
 
     def test_explain_with_extra_typed_variables(self, capsys):
         query = "for $x in $S where name($x) = $l return ($x)/*"

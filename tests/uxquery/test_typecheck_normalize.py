@@ -141,7 +141,7 @@ class TestNormalization:
         )
         query = "element out { for $x in $S, $y in $S where $x/B = $y/B return <p> { $x/A, $y/A } </> }"
         direct = evaluate_query(query, NATURAL, {"S": source}, method="direct")
-        compiled = evaluate_query(query, NATURAL, {"S": source}, method="nrc")
+        compiled = evaluate_query(query, NATURAL, {"S": source}, method="nrc-codegen")
         assert direct == compiled
         # self-joins on B produce exactly the diagonal pairs with squared annotations
         assert len(direct.children) == 2
