@@ -6,17 +6,18 @@ sizeable document, updated by small deltas.  Three measurements:
 * **recompute baseline** — evaluate the prepared query on the updated
   document from scratch (what a cache without maintenance must do on every
   invalidation);
-* **maintain (single update)** — one insert + one delete applied through the
-  compiled delta plan; the pair leaves the document unchanged, so every
-  benchmark round does identical work (the delete exercises the ``Diff(K)``
-  path with exact subtraction over ``N``);
+* **maintain (insert + delete pair)** — one insert and one delete of the
+  same subtree applied through the compiled delta plan; the pair leaves the
+  document unchanged, so every benchmark round does identical work (the
+  delete runs the same ``K`` program on the deleted subtree and subtracts
+  its result change exactly over ``N``);
 * **maintain (batched stream)** — an insert-only stream pushed through
   :meth:`~repro.ivm.view.MaterializedView.apply_many` (one
   ``BatchEvaluator`` call), then drained by per-delta deletions.
 
 ``run_all.py`` records the recompute-vs-maintain per-update ratio in the
 ``ivm`` section of ``BENCH_results.json``; CI asserts maintenance stays at
-least 5x faster than recomputation on the single-update workload.
+least 5x faster than recomputation per update of the pair.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def test_ivm_recompute_baseline(benchmark):
 def test_ivm_maintain_single_update(benchmark):
     view = PREPARED.materialize(FOREST)
     view.apply(INSERT)
-    view.apply(DELETE)  # warm the Diff(K) compilation outside the timer
+    view.apply(DELETE)  # one untimed pair warms the srt memo
 
     def insert_then_delete():
         view.apply(INSERT)

@@ -360,7 +360,7 @@ def measure_exec(quick: bool) -> dict:
 # Section 4: incremental view maintenance (repro.ivm)
 # ---------------------------------------------------------------------------
 def measure_ivm(quick: bool) -> dict:
-    """Maintain-vs-recompute on the single-subtree-insert workload."""
+    """Maintain-vs-recompute on an insert + delete pair of one subtree."""
     from repro.ivm import Delta
     from repro.workloads import random_tree
 
@@ -391,6 +391,20 @@ def measure_ivm(quick: bool) -> dict:
 
     # One timed call covers two maintained updates (state returns to baseline).
     maintain_s = _time_call(insert_then_delete, repetitions) / 2
+    # The same pair with each side timed alone, so the delete side (the
+    # cached result minus g(deletions)) shows by name.
+    insert_s = delete_s = float("inf")
+    for _ in range(5):
+        inserting = deleting = 0.0
+        for _ in range(repetitions):
+            start = time.perf_counter()
+            view.apply(insert)
+            middle = time.perf_counter()
+            view.apply(delete)
+            inserting += middle - start
+            deleting += time.perf_counter() - middle
+        insert_s = min(insert_s, inserting / repetitions)
+        delete_s = min(delete_s, deleting / repetitions)
     stats = view.stats()
     report = {
         "query": query,
@@ -398,6 +412,8 @@ def measure_ivm(quick: bool) -> dict:
         "classification": stats.classification,
         "recompute_per_update_s": recompute_s,
         "maintain_per_update_s": maintain_s,
+        "maintain_insert_s": insert_s,
+        "maintain_delete_s": delete_s,
         "speedup_maintain_vs_recompute": recompute_s / maintain_s if maintain_s else float("inf"),
         "view_stats": {
             "applies": stats.applies,
@@ -409,6 +425,7 @@ def measure_ivm(quick: bool) -> dict:
     print(
         f"{'ivm_maintenance':32s} recompute {recompute_s * 1e6:9.1f}us  "
         f"maintain {maintain_s * 1e6:9.1f}us  "
+        f"(insert {insert_s * 1e6:.1f}us, delete {delete_s * 1e6:.1f}us)  "
         f"speedup {report['speedup_maintain_vs_recompute']:6.2f}x"
     )
     return report
@@ -880,10 +897,13 @@ def main() -> None:
             "BatchEvaluator.evaluate_many call over the same documents; shard_scaling "
             "times ShardedEvaluator at 1/2/4 shards against single-shot evaluation of "
             "the same prepared query; all answers are asserted equal before timing",
-            "ivm": "single-subtree-insert workload: per-update cost of maintaining a "
-            "materialized view through its compiled delta plan (insert + exact "
-            "Diff(K) delete, state restored every round) vs re-evaluating the "
-            "prepared query on the updated document; answers asserted equal and "
+            "ivm": "insert + delete pair workload: per-update cost of maintaining a "
+            "materialized view through its compiled delta plan, one timed call "
+            "inserting a subtree and deleting it again (the delete subtracts "
+            "g(deletions) from the cached result exactly over N; state restored "
+            "every round), halved into maintain_per_update_s, with each side also "
+            "timed alone (maintain_insert_s, maintain_delete_s), vs re-evaluating "
+            "the prepared query on the updated document; answers asserted equal and "
             "the linear plan asserted to never fall back to recomputation",
             "store": "pushdown compares the raw structural-index path "
             "(StructuralIndex.navigate, memo bypassed) and the full serving path "

@@ -9,19 +9,21 @@ instead of re-evaluated from scratch.
 Three cooperating pieces
 ------------------------
 * :mod:`repro.ivm.delta` — :class:`Delta`, annotated top-level changes to a
-  document forest (insert / delete / re-annotate), carried as difference
-  pairs over the ring-completion semiring ``Diff(K)``
-  (:mod:`repro.semirings.diff`).
-* :mod:`repro.ivm.derive` — :class:`DeltaPlan`, the derivative of a prepared
-  query plan with respect to the document variable: classified
+  document forest (insert / delete / re-annotate), carried per member as a
+  :class:`~repro.semirings.diff.DiffPair` ``(pos, neg)`` over ``K``.
+* :mod:`repro.ivm.derive` — :class:`DeltaPlan`, the derivative ``g`` of a
+  prepared query plan with respect to the document variable: classified
   :data:`~repro.ivm.derive.LINEAR` (reads only the delta),
   :data:`~repro.ivm.derive.BILINEAR` (also reads the old/new document — the
   self-join shapes) or :data:`~repro.ivm.derive.NON_INCREMENTAL`
-  (recompute), and compiled by codegen like every other plan.
+  (recompute), and compiled once, over ``K``, by codegen like every other
+  plan.
 * :mod:`repro.ivm.view` — :class:`MaterializedView`, a cached K-set result
-  plus :meth:`~MaterializedView.apply`: exact maintenance with recompute
-  fallback, batched insert streams through :mod:`repro.exec.batch`, and
-  hit/miss-style freshness stats.
+  plus :meth:`~MaterializedView.apply`: exact maintenance — the result
+  gains ``g(insertions)`` and, for a linear plan over a semiring with exact
+  subtraction, loses ``g(deletions)`` — with recompute fallback, batched
+  insert streams through :mod:`repro.exec.batch`, and hit/miss-style
+  freshness stats.
 
 Entry points
 ------------
@@ -38,7 +40,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.errors import IVMError
-from repro.ivm.delta import Delta, lift_forest, lift_tree, lower_value
+from repro.ivm.delta import Delta
 from repro.ivm.derive import (
     BILINEAR,
     CLASSIFICATIONS,
@@ -63,9 +65,6 @@ __all__ = [
     "BILINEAR",
     "NON_INCREMENTAL",
     "CLASSIFICATIONS",
-    "lift_forest",
-    "lift_tree",
-    "lower_value",
 ]
 
 

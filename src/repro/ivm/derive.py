@@ -35,14 +35,15 @@ plan whose delta needs neither is classified :data:`LINEAR`; needing them is
 :data:`BILINEAR`; underivable plans are :data:`NON_INCREMENTAL`.
 
 The delta expression is itself simplified with the Appendix A axioms and
-compiled by the source-codegen evaluator (:mod:`repro.nrc.codegen`), like
-query plans: over the base semiring ``K`` — evaluated directly for
-insert-only deltas, where everything stays in ``K`` — and, lazily, over
-``Diff(K)`` (:mod:`repro.semirings.diff`) for deltas that also delete or
-re-annotate, where the same program computes insertion and removal weights
-in one pass.  Codegen is total, so view maintenance always executes
-generated bytecode, descendant plans (whose ``srt`` stays inside the delta)
-included.
+compiled **once**, over the document's semiring ``K``, by the source-codegen
+evaluator (:mod:`repro.nrc.codegen`), like query plans.  A :data:`LINEAR`
+delta plan ``g`` is additive in the delta (every rule above keeps the delta
+variable in a linear position), so it also serves deleting and re-annotating
+deltas: the result moves by ``g(insertions) - g(deletions)``, and where ``K``
+has exact subtraction the view subtracts the second term value by value
+(:mod:`repro.ivm.view`).  Codegen is total, so view maintenance always
+executes generated bytecode, descendant plans (whose ``srt`` stays inside the
+delta) included.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from repro.nrc.ast import (
 )
 from repro.nrc.codegen import CodegenProgram, compile_codegen
 from repro.nrc.rewrite import simplify
-from repro.semirings.diff import diff_of
 from repro.uxquery.engine import PreparedQuery
 from repro.uxquery.typecheck import FOREST
 
@@ -206,7 +206,6 @@ class DeltaPlan:
         #: The delta expression compiled over ``K`` (``None`` when
         #: non-incremental).
         self.generated: CodegenProgram | None = None
-        self._diff_program: CodegenProgram | None = None
         self.delta_var = self.old_var = self.new_var = None
         self.needs_old = self.needs_new = False
         self.reason: str | None = None
@@ -233,19 +232,6 @@ class DeltaPlan:
         self.needs_new = self.new_var in free
 
     # ------------------------------------------------------------ evaluation
-    @property
-    def compiled_diff(self) -> CodegenProgram:
-        """The delta expression compiled over ``Diff(K)`` (built on first use).
-
-        Lazy because insert-only workloads never leave the base semiring; a
-        benign race at worst compiles the same immutable program twice.
-        """
-        program = self._diff_program
-        if program is None:
-            program = compile_codegen(self.delta_expr, diff_of(self.semiring))
-            self._diff_program = program
-        return program
-
     def _check_incremental(self) -> None:
         if self.classification == NON_INCREMENTAL:
             raise IVMError(f"no delta plan: {self.reason}")
@@ -257,7 +243,11 @@ class DeltaPlan:
         new_document: KSet,
         env: Mapping[str, Any] | None = None,
     ) -> KSet:
-        """The result change for an insert-only delta, computed in plain ``K``."""
+        """``g(insertions)``: the result change for adding ``insertions``.
+
+        For a :data:`LINEAR` plan ``g`` is additive, so the same call on a
+        delta's deletions gives what removing them takes away from the result.
+        """
         self._check_incremental()
         bindings = dict(env) if env else {}
         bindings[self.delta_var] = insertions
@@ -266,25 +256,6 @@ class DeltaPlan:
         if self.needs_new:
             bindings[self.new_var] = new_document
         return _expect_kset(self.generated.evaluate(bindings), self.semiring)
-
-    def evaluate_diff(
-        self, diff_forest: KSet, env: Mapping[str, Any] | None = None
-    ) -> KSet:
-        """The result change over ``Diff(K)`` for a delta with deletions.
-
-        Only valid for :data:`LINEAR` plans (a bilinear plan would need the
-        whole document lifted into ``Diff(K)``, which costs as much as
-        recomputing).  ``env`` bindings must already live in ``Diff(K)``.
-        """
-        self._check_incremental()
-        if self.classification != LINEAR:
-            raise IVMError(
-                "deleting deltas on a bilinear plan need the full document in "
-                "Diff(K); fall back to recomputation"
-            )
-        bindings = dict(env) if env else {}
-        bindings[self.delta_var] = diff_forest
-        return _expect_kset(self.compiled_diff.evaluate(bindings), diff_of(self.semiring))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

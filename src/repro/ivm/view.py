@@ -6,9 +6,10 @@ equal to re-evaluation as the document changes:
 
 * :meth:`MaterializedView.apply` takes a :class:`~repro.ivm.delta.Delta`,
   updates the document, and maintains the result through the compiled delta
-  plan (:mod:`repro.ivm.derive`) when one applies — insert-only deltas in
-  plain ``K``, deleting deltas through ``Diff(K)`` with exact subtraction —
-  and **recomputes** otherwise.  Either way the post-state equals evaluating
+  plan ``g`` (:mod:`repro.ivm.derive`) when one applies — the result gains
+  ``g(insertions)`` and, for a linear plan over a semiring with exact
+  subtraction, loses ``g(deletions)`` value by value — and **recomputes**
+  otherwise.  Either way the post-state equals evaluating
   the query on the updated document, for every semiring, including the
   non-idempotent ones where a sloppy merge would corrupt multiplicities.
 * :meth:`MaterializedView.apply_many` pushes a stream of insert-only deltas
@@ -23,13 +24,13 @@ Recompute fallback triggers (the *delta-plan contract*):
 1. the plan is :data:`~repro.ivm.derive.NON_INCREMENTAL` (non-forest result,
    or the document flows into a value constructor);
 2. the delta deletes or re-annotates and the plan is
-   :data:`~repro.ivm.derive.BILINEAR` (the delta computation would need the
-   whole document lifted into ``Diff(K)``);
+   :data:`~repro.ivm.derive.BILINEAR` (its delta reads the old and new
+   documents, so it is not additive in the delta);
 3. the delta deletes or re-annotates and the semiring has no exact
-   subtraction (``supports_subtraction`` is ``False``), so removal weights
-   cannot be cancelled out of the cached result;
-4. lowering a ``Diff(K)`` result back to ``K`` fails (defensive; derived
-   plans do not produce such results).
+   subtraction (``supports_subtraction`` is ``False``), or subtracting
+   ``g(deletions)`` would remove more than the cached result holds (an
+   :class:`~repro.errors.IVMError`; defensive), so removal weights cannot be
+   cancelled out of the cached result.
 """
 
 from __future__ import annotations
@@ -43,17 +44,8 @@ from repro.obs import qlog as _qlog
 from repro.obs.events import emit
 from repro.obs.metrics import default_registry
 from repro.obs.trace import span
-from repro.ivm.delta import (
-    Delta,
-    apply_sequence,
-    combine_change,
-    lift_forest,
-    lift_tree,
-    lower_value,
-)
-from repro.ivm.derive import BILINEAR, LINEAR, NON_INCREMENTAL, DeltaPlan
-from repro.semirings.diff import diff_of
-from repro.uxml.tree import UTree
+from repro.ivm.delta import Delta, _rebuild_kset, apply_sequence, combine_change
+from repro.ivm.derive import LINEAR, NON_INCREMENTAL, DeltaPlan
 from repro.uxquery.engine import PreparedQuery
 from repro.uxquery.typecheck import FOREST
 
@@ -133,7 +125,6 @@ class MaterializedView:
         self.semiring = prepared.semiring
         self.plan = DeltaPlan(prepared, var)
         self._env = {name: value for name, value in (env or {}).items() if name != var}
-        self._diff_env: dict[str, Any] | None = None
         self._document = document
         self._result = prepared.evaluate(self._bindings(document))
         self._applies = 0
@@ -315,38 +306,34 @@ class MaterializedView:
             return self._result, None
         if plan.classification == NON_INCREMENTAL:
             return None, "non-incremental plan"
-        try:
-            if delta.is_insert_only():
-                change = plan.evaluate_insertions(
-                    delta.insertions(), self._document, new_document, self._env
-                )
-                return self._result.union(change), None
+        insert_only = delta.is_insert_only()
+        if not insert_only:
             if plan.classification != LINEAR:
                 return None, f"{plan.classification} plan with deletions"
             if not self.semiring.supports_subtraction:
                 return None, f"{self.semiring.name} has no subtraction"
-            diff_change = plan.evaluate_diff(delta.as_diff_forest(), self._lifted_env())
-            return self._merge_diff(diff_change), None
+        try:
+            result = self._result
+            insertions = delta.insertions()
+            if not insertions.is_empty():
+                result = result.union(
+                    plan.evaluate_insertions(
+                        insertions, self._document, new_document, self._env
+                    )
+                )
+            if insert_only:
+                return result, None
+            # A linear g is additive in the delta, so the result moves by
+            # g(insertions) - g(deletions), both computed by the one K program.
+            removed = plan.evaluate_insertions(
+                delta.deletions(), self._document, new_document, self._env
+            )
+            return self._subtract(result, removed), None
         except IVMError as error:
             return None, str(error)
 
-    def _lifted_env(self) -> dict[str, Any]:
-        """The constant environment lifted into ``Diff(K)`` (computed once)."""
-        if self._diff_env is None:
-            diff = diff_of(self.semiring)
-            lifted: dict[str, Any] = {}
-            for name, value in self._env.items():
-                if isinstance(value, KSet):
-                    lifted[name] = lift_forest(value, diff)
-                elif isinstance(value, UTree):
-                    lifted[name] = lift_tree(value, diff)
-                else:
-                    lifted[name] = value
-            self._diff_env = lifted
-        return self._diff_env
-
-    def _merge_diff(self, diff_change: KSet) -> KSet:
-        """Fold a ``Diff(K)`` result change into the cached ``K`` result.
+    def _subtract(self, result: KSet, removed: KSet) -> KSet:
+        """``result`` minus ``removed``, value by value, by exact subtraction.
 
         Replacement readings are *not* allowed here: a result annotation
         aggregates many members' contributions, so a removal weight that
@@ -355,26 +342,22 @@ class MaterializedView:
         recomputes).
         """
         semiring = self.semiring
-        diff = diff_of(semiring)
         zero = semiring.normalize(semiring.zero)
-        merged = {value: annotation for value, annotation in self._result.items()}
-        for value, pair in diff_change.items():
-            lowered = lower_value(value, diff)
+        merged = dict(result.items())
+        for value, neg in removed.items():
             updated = combine_change(
                 semiring,
-                merged.get(lowered, zero),
-                pair.pos,
-                pair.neg,
-                lowered,
+                merged.get(value, zero),
+                zero,
+                neg,
+                value,
                 allow_replacement=False,
             )
             if semiring.is_zero(updated):
-                merged.pop(lowered, None)
+                merged.pop(value, None)
             else:
-                merged[lowered] = semiring.normalize(updated)
-        if not semiring.ops_preserve_normal_form:
-            return KSet(semiring, merged)
-        return KSet._from_normalized(semiring, merged)
+                merged[value] = semiring.normalize(updated)
+        return _rebuild_kset(semiring, merged)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -14,7 +14,7 @@ Public API
 
 from repro.semirings.base import Semiring, check_semiring_axioms
 from repro.semirings.boolean import BOOLEAN, BooleanSemiring
-from repro.semirings.diff import DiffPair, DiffSemiring, diff_of
+from repro.semirings.diff import DiffPair
 from repro.semirings.homomorphism import (
     SemiringHomomorphism,
     check_homomorphism,
@@ -81,8 +81,6 @@ __all__ = [
     "BooleanSemiring",
     "BOOLEAN",
     "DiffPair",
-    "DiffSemiring",
-    "diff_of",
     "NaturalSemiring",
     "NATURAL",
     "Monomial",

@@ -64,11 +64,12 @@ class Semiring(ABC):
     ops_preserve_normal_form: bool = True
 
     #: True if addition is cancellative and :meth:`subtract` implements exact
-    #: subtraction.  Semirings have no additive inverses in general, but some
-    #: (``N``, ``N[X]``) embed into their ring completion, where ``b + c = a``
-    #: has at most one solution ``c``.  The incremental view-maintenance layer
-    #: (:mod:`repro.ivm`) uses this to apply deletions exactly; semirings that
-    #: leave it ``False`` fall back to recomputation on deleting updates.
+    #: subtraction.  Semirings have no additive inverses in general, but in
+    #: some (``N``, ``N[X]``) ``b + c = a`` has at most one solution ``c``.
+    #: The incremental view-maintenance layer (:mod:`repro.ivm`) uses this to
+    #: subtract what a deletion removes from a cached result exactly;
+    #: semirings that leave it ``False`` fall back to recomputation on
+    #: deleting updates.
     supports_subtraction: bool = False
 
     #: Optional Python *expression templates* for :meth:`add` / :meth:`mul`,

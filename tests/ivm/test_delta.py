@@ -1,15 +1,15 @@
-"""Delta semantics: construction, composition, application, lift/lower."""
+"""Delta semantics: construction, composition, projections, application."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import IVMError
-from repro.ivm import Delta, lift_forest, lower_value
+from repro.ivm import Delta
 from repro.kcollections import KSet
-from repro.semirings import BOOLEAN, NATURAL, PROVENANCE, DiffPair, diff_of, variables
+from repro.semirings import BOOLEAN, NATURAL, PROVENANCE, DiffPair, variables
 from repro.uxml.tree import forest, leaf
-from repro.workloads import random_forest, random_tree
+from repro.workloads import random_forest
 
 
 def _doc(semiring, seed=11):
@@ -44,11 +44,9 @@ class TestConstruction:
             tree: DiffPair(y, x)
         }
 
-    def test_rejects_non_trees_and_diff_semirings(self):
+    def test_rejects_non_trees(self):
         with pytest.raises(IVMError):
             Delta(NATURAL, [("not-a-tree", 1)])
-        with pytest.raises(IVMError):
-            Delta(diff_of(NATURAL))
 
     def test_merge_is_pairwise(self):
         a, b = leaf(NATURAL, "a"), leaf(NATURAL, "b")
@@ -64,16 +62,6 @@ class TestProjections:
         delta = Delta(NATURAL, [(a, DiffPair(2, 1)), (b, DiffPair(0, 3))])
         assert delta.insertions() == KSet(NATURAL, [(a, 2)])
         assert delta.deletions() == KSet(NATURAL, [(a, 1), (b, 3)])
-
-    def test_as_diff_forest_lifts_members(self):
-        tree = random_tree(NATURAL, depth=3, fanout=2, seed=3)
-        delta = Delta.insertion(NATURAL, tree, 2)
-        diff_forest = delta.as_diff_forest()
-        assert diff_forest.semiring == diff_of(NATURAL)
-        (member,) = diff_forest.values()
-        assert diff_forest.annotation(member) == DiffPair(2, 0)
-        # Nested annotations are lifted, and lowering restores the original.
-        assert lower_value(member, diff_of(NATURAL)) == tree
 
 
 class TestApplication:
@@ -120,18 +108,3 @@ class TestApplication:
         document = _doc(NATURAL)
         assert Delta(NATURAL).apply_to(document) is document
 
-
-class TestLiftLower:
-    @pytest.mark.parametrize("semiring", [NATURAL, PROVENANCE, BOOLEAN], ids=lambda s: s.name)
-    def test_lift_forest_round_trips(self, semiring):
-        document = _doc(semiring)
-        diff = diff_of(semiring)
-        lifted = lift_forest(document, diff)
-        assert lifted.semiring == diff
-        assert lower_value(lifted, diff) == document
-
-    def test_lower_rejects_negative_nested_annotation(self):
-        diff = diff_of(NATURAL)
-        poisoned = KSet(diff, [(leaf(NATURAL, "a"), DiffPair(1, 1))])
-        with pytest.raises(IVMError, match="negative part"):
-            lower_value(poisoned, diff)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import IVMError
-from repro.ivm import BILINEAR, LINEAR, NON_INCREMENTAL, Delta, DeltaPlan, derive_delta
+from repro.ivm import BILINEAR, LINEAR, NON_INCREMENTAL, DeltaPlan, derive_delta
 from repro.nrc.ast import (
     BigUnion,
     EmptySet,
@@ -116,8 +116,3 @@ class TestDeltaEvaluation:
         change = plan.evaluate_insertions(addition, DOC, DOC.union(addition))
         assert old.union(change) == new
 
-    def test_diff_evaluation_rejected_for_bilinear(self):
-        plan = _plan("for $x in $S, $y in $S where $x = $y return ($x)")
-        delta = Delta.from_insertions(NATURAL, random_forest(NATURAL, 1, 2, 2, seed=1))
-        with pytest.raises(IVMError, match="bilinear"):
-            plan.evaluate_diff(delta.as_diff_forest())

@@ -10,6 +10,9 @@ import pytest
 
 from repro.errors import IVMError
 from repro.exec import PlanCache
+from repro.kcollections import KSet
+from repro.nrc.codegen import codegen_stats
+from repro.obs import events
 from repro.ivm import (
     BILINEAR,
     LINEAR,
@@ -18,7 +21,13 @@ from repro.ivm import (
     MaterializedView,
     materialize,
 )
-from repro.semirings import BOOLEAN, NATURAL, PROVENANCE, standard_semirings
+from repro.semirings import (
+    BOOLEAN,
+    NATURAL,
+    PROVENANCE,
+    ProductSemiring,
+    standard_semirings,
+)
 from repro.semirings.polynomial import Polynomial
 from repro.uxquery import prepare_query
 from repro.workloads import random_forest, random_tree
@@ -77,7 +86,7 @@ class TestExactEquivalence:
         assert view.stats().applies == 12
 
     @pytest.mark.parametrize("semiring", [NATURAL, PROVENANCE], ids=lambda s: s.name)
-    def test_deletions_round_trip_through_diff(self, semiring):
+    def test_deletions_maintain_by_exact_subtraction(self, semiring):
         """Cancellative semirings maintain deleting updates *incrementally*."""
         rng = random.Random(7)
         document = random_forest(semiring, num_trees=6, depth=3, fanout=2, seed=29)
@@ -111,6 +120,85 @@ class TestExactEquivalence:
         assert view.result == prepared.evaluate({"S": view.document})
         stats = view.stats()
         assert stats.recomputes == 1  # deleting over B cannot cancel
+
+    def test_bilinear_deletions_recompute_with_a_reason(self):
+        document = random_forest(NATURAL, num_trees=4, depth=2, fanout=2, seed=27)
+        prepared = prepare_query(BILINEAR_QUERY, NATURAL, {"S": document})
+        view = prepared.materialize(document)
+        assert view.classification == BILINEAR
+        victim = next(iter(view.document))
+        events.clear_events()
+        with events.recording(True):
+            view.apply(Delta.deletion(NATURAL, victim, view.document.annotation(victim)))
+        (event,) = events.recent_events(kind="ivm.recompute")
+        assert event["attrs"]["reason"] == "bilinear plan with deletions"
+        assert view.result == prepared.evaluate({"S": view.document})
+        assert view.stats().recomputes == 1
+
+
+#: Linear queries whose deleting deltas are maintained by exact subtraction.
+LINEAR_QUERIES = ["($S)//c", "($S)/*", "($S)/*/*", "($S)//*"]
+
+#: Registry semirings without cancellation: their deletions must recompute.
+NON_SUBTRACTIVE = [s for s in REGISTRY_SEMIRINGS if not s.supports_subtraction]
+
+
+def _deleting_delta(kind, semiring, document, rng):
+    """A delete, a re-annotation, or an insert merged with a delete."""
+    victim = rng.choice(sorted(document.values(), key=repr))
+    current = document.annotation(victim)
+    if kind == "delete":
+        return Delta.deletion(semiring, victim, current)
+    if kind == "reannotate":
+        return Delta.reannotation(
+            semiring, victim, current, rng.choice(_annotations(semiring, rng))
+        )
+    fresh = random_tree(semiring, depth=2, fanout=2, seed=rng.randrange(1 << 30))
+    return Delta.insertion(semiring, fresh) | Delta.deletion(semiring, victim, current)
+
+
+class TestDeletingDeltas:
+    """Every deleting step on a linear view over a cancellative semiring is
+    maintained incrementally and equals re-evaluation; without cancellation
+    the view recomputes and says why."""
+
+    @pytest.mark.parametrize(
+        "semiring",
+        [NATURAL, PROVENANCE, ProductSemiring(NATURAL, PROVENANCE)],
+        ids=lambda s: s.name,
+    )
+    @pytest.mark.parametrize("query", LINEAR_QUERIES)
+    @pytest.mark.parametrize("kind", ["delete", "reannotate", "insert+delete"])
+    def test_linear_views_subtract_exactly(self, semiring, query, kind):
+        rng = random.Random(f"{semiring.name}|{query}|{kind}")
+        document = random_forest(semiring, num_trees=6, depth=3, fanout=2, seed=41)
+        prepared = prepare_query(query, semiring, {"S": document})
+        view = prepared.materialize(document)
+        assert view.classification == LINEAR
+        steps = 5
+        for _ in range(steps):
+            delta = _deleting_delta(kind, semiring, view.document, rng)
+            assert not delta.is_insert_only()
+            assert view.apply(delta) == prepared.evaluate({"S": view.document})
+        stats = view.stats()
+        assert stats.recomputes == 0
+        assert stats.incremental == steps
+
+    @pytest.mark.parametrize("semiring", NON_SUBTRACTIVE, ids=lambda s: s.name)
+    def test_deletions_without_subtraction_recompute(self, semiring):
+        document = random_forest(semiring, num_trees=4, depth=2, fanout=2, seed=43)
+        prepared = prepare_query(LINEAR_QUERY, semiring, {"S": document})
+        view = prepared.materialize(document)
+        victim = sorted(view.document.values(), key=repr)[0]
+        events.clear_events()
+        with events.recording(True):
+            view.apply(
+                Delta.deletion(semiring, victim, view.document.annotation(victim))
+            )
+        (event,) = events.recent_events(kind="ivm.recompute")
+        assert event["attrs"]["reason"] == f"{semiring.name} has no subtraction"
+        assert view.result == prepared.evaluate({"S": view.document})
+        assert view.stats().recomputes == 1
 
 
 class TestViewBehavior:
@@ -187,11 +275,10 @@ class TestViewBehavior:
         assert view.result == prepared.evaluate({"S": view.document, "T": constant})
         assert view.stats().recomputes == 0
 
-    def test_env_forest_inside_the_delta_plan_is_lifted(self):
+    def test_env_forest_inside_the_delta_plan_scales_deletions(self):
         # `for $x in $T return $S` is linear in $S but its *delta plan*
-        # still iterates the constant $T — the Diff(K) path must evaluate
-        # with the environment lifted, multiplying every delta pair by the
-        # lifted annotations of $T.
+        # still iterates the constant $T — what a deletion removes is the
+        # deleted member multiplied by every annotation of $T.
         document = random_forest(NATURAL, num_trees=3, depth=2, fanout=2, seed=30)
         constant = random_forest(NATURAL, num_trees=3, depth=2, fanout=2, seed=31)
         prepared = prepare_query(
@@ -305,17 +392,52 @@ class TestCodegenDeltaPlans:
         assert view.result == prepared.evaluate({"S": view.document})
         assert view.stats().incremental == 1
 
-    def test_diff_compilation_also_goes_through_codegen(self):
-        from repro.nrc.codegen import CodegenProgram
+    @pytest.mark.parametrize("semiring", [NATURAL, PROVENANCE], ids=lambda s: s.name)
+    def test_deletions_run_the_one_generated_program(self, semiring):
+        """A delete runs the K program once (on the deletions), a
+        re-annotation twice (insertions, then deletions), and nothing else
+        is compiled."""
+        document = random_forest(semiring, num_trees=4, depth=3, fanout=2, seed=33)
+        prepared = prepare_query("($S)/*/*", semiring, {"S": document})
+        view = prepared.materialize(document)
+        plan = view.plan
+        generated_before = codegen_stats()["generated"]
+        victim, other = sorted(view.document.values(), key=repr)[:2]
 
-        document = random_forest(NATURAL, num_trees=4, depth=3, fanout=2, seed=33)
+        before = plan.generated.calls
+        view.apply(Delta.deletion(semiring, victim, view.document.annotation(victim)))
+        assert plan.generated.calls == before + 1
+        assert view.result == prepared.evaluate({"S": view.document})
+
+        before = plan.generated.calls
+        current = view.document.annotation(other)
+        replacement = semiring.add(current, semiring.one)
+        view.apply(Delta.reannotation(semiring, other, current, replacement))
+        assert plan.generated.calls == before + 2
+        assert view.result == prepared.evaluate({"S": view.document})
+
+        assert view.stats().recomputes == 0
+        assert codegen_stats()["generated"] == generated_before
+
+    def test_over_removal_falls_back_to_recompute(self):
+        # A cached result that holds less than a delete takes away (here: a
+        # stale, empty one) cannot be maintained by exact subtraction; the
+        # view recomputes, says why, and is exact again.
+        document = random_forest(NATURAL, num_trees=4, depth=3, fanout=2, seed=37)
         prepared = prepare_query("($S)/*/*", NATURAL, {"S": document})
         view = prepared.materialize(document)
-        victim = next(iter(view.document))
-        view.apply(Delta.deletion(NATURAL, victim, view.document.annotation(victim)))
+        victim = max(view.document.values(), key=lambda tree: len(repr(tree)))
+        assert not view.plan.evaluate_insertions(
+            KSet(NATURAL, [(victim, 1)]), document, document
+        ).is_empty()
+        view._result = KSet.empty(NATURAL)
+        events.clear_events()
+        with events.recording(True):
+            view.apply(Delta.deletion(NATURAL, victim, view.document.annotation(victim)))
+        (event,) = events.recent_events(kind="ivm.recompute")
+        assert "removes more than is present" in event["attrs"]["reason"]
         assert view.result == prepared.evaluate({"S": view.document})
-        assert view.stats().recomputes == 0
-        assert isinstance(view.plan.compiled_diff, CodegenProgram)
+        assert view.stats().recomputes == 1
 
     def test_srt_delta_plans_execute_generated_code(self):
         document = random_forest(NATURAL, num_trees=4, depth=3, fanout=2, seed=34)
